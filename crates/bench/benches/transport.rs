@@ -1,11 +1,9 @@
-//! Live-channel throughput: the framed, compressed transport versus the
-//! legacy per-record raw SPSC path it replaced.
+//! Live-channel throughput: the framed, compressed transport at several
+//! batch sizes.
 //!
 //! The framed channel amortises one queue operation over
-//! `records_per_frame` records and ships < 1 B/record on the wire; the
-//! per-record path pays a queue operation (and 25 raw bytes of struct)
-//! for every record. At batch sizes ≥ 64 the framed channel should meet or
-//! beat the raw baseline in records/second.
+//! `records_per_frame` records and ships < 1 B/record on the wire, so
+//! records/second should grow with the batch size.
 
 use std::thread;
 
@@ -46,24 +44,6 @@ fn synthetic_stream() -> Vec<EventRecord> {
     out
 }
 
-/// Pumps the stream through the legacy per-record channel; returns the
-/// consumer-side record count.
-fn pump_per_record(records: &[EventRecord]) -> u64 {
-    let (tx, rx) = live::channel(4096);
-    thread::scope(|scope| {
-        scope.spawn(move || {
-            for rec in records {
-                tx.send(*rec);
-            }
-        });
-        let mut seen = 0u64;
-        while rx.recv().is_some() {
-            seen += 1;
-        }
-        seen
-    })
-}
-
 /// Pumps the stream through the framed channel at `records_per_frame`;
 /// returns the consumer-side record count.
 fn pump_framed(records: &[EventRecord], records_per_frame: usize) -> u64 {
@@ -91,24 +71,17 @@ fn pump_framed(records: &[EventRecord], records_per_frame: usize) -> u64 {
 fn bench_transport(c: &mut Criterion) {
     let records = synthetic_stream();
 
-    // Best-of-3 sanity comparison, printed alongside the samples (the
-    // min-time estimator is robust to scheduler noise): the framed
-    // channel must not lose to the raw path at batch >= 64.
-    for (label, pump) in [
-        (
-            "per-record raw",
-            Box::new(|| pump_per_record(&records)) as Box<dyn Fn() -> u64>,
-        ),
-        ("framed x64", Box::new(|| pump_framed(&records, 64))),
-        ("framed x256", Box::new(|| pump_framed(&records, 256))),
-    ] {
+    // Best-of-3 sanity numbers, printed alongside the samples (the
+    // min-time estimator is robust to scheduler noise).
+    for batch in [64, 256] {
         let mut best = f64::INFINITY;
         for _ in 0..if criterion::is_test_mode() { 1 } else { 3 } {
             let start = std::time::Instant::now();
-            let seen = pump();
+            let seen = pump_framed(&records, batch);
             assert_eq!(seen, RECORDS);
             best = best.min(start.elapsed().as_secs_f64());
         }
+        let label = format!("framed x{batch}");
         println!("{label:>16}: {:.1} Mrecords/s", RECORDS as f64 / best / 1e6);
     }
 
@@ -116,7 +89,6 @@ fn bench_transport(c: &mut Criterion) {
     group
         .sample_size(10)
         .throughput(Throughput::Elements(RECORDS));
-    group.bench_function("per_record_raw", |b| b.iter(|| pump_per_record(&records)));
     group.bench_function("framed_compressed_x64", |b| {
         b.iter(|| pump_framed(&records, 64))
     });

@@ -3,6 +3,8 @@
 //! the paper reports. The [`pipeline`] module adds the host-throughput
 //! measurements behind `BENCH_pipeline.json`.
 
+#![forbid(unsafe_code)]
+
 pub mod pipeline;
 
 use lba::experiment::{

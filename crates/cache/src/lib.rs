@@ -20,6 +20,8 @@
 //! assert_eq!(again, 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod system;
 

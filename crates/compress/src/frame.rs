@@ -468,7 +468,10 @@ impl FrameDecoder {
 
         if self.config.compress {
             let mut reader = BitReader::new(payload);
-            out.reserve(records as usize);
+            // `records` comes from an untrusted header: every record costs
+            // at least one payload bit, so reserve no more than the payload
+            // can hold (a lying count then fails at end of input).
+            out.reserve((records as usize).min(payload.len() * 8));
             for _ in 0..records {
                 out.push(
                     self.decompressor
@@ -769,5 +772,23 @@ mod tests {
             .push(&EventRecord::alu(0x1000, 0, None, None, None))
             .expect("one-record frames seal per push");
         assert_eq!(frame.bytes.len(), one.nominal_wire_bytes());
+    }
+
+    #[test]
+    fn hostile_record_count_is_a_codec_error_not_an_abort() {
+        // Regression: a 64-byte frame claiming 2^30 - 1 records made the
+        // decoder reserve ~34 GB up front and abort the process.
+        let mut bytes = vec![0u8; FRAME_LINE_BYTES];
+        let records = (1u32 << 30) - 1;
+        bytes[0..4].copy_from_slice(&records.to_le_bytes());
+        let payload_len = (FRAME_LINE_BYTES - FRAME_HEADER_BYTES) as u32;
+        bytes[4..8].copy_from_slice(&payload_len.to_le_bytes());
+        let mut dec = FrameDecoder::new(FrameConfig::default());
+        let mut out = Vec::new();
+        assert!(matches!(
+            dec.decode_frame(&bytes, &mut out),
+            Err(FrameDecodeError::Codec(_))
+        ));
+        assert!(out.capacity() <= (FRAME_LINE_BYTES - FRAME_HEADER_BYTES) * 8);
     }
 }

@@ -48,6 +48,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bits;
 mod compressor;
 mod frame;

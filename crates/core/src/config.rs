@@ -143,13 +143,14 @@ pub struct LogConfig {
     /// default) injects nothing and adds no wrapper overhead beyond a
     /// pass-through branch.
     pub fault: Option<FaultProfile>,
-    /// How long the live producer may spin on a full channel before it
-    /// latches a stall and the run fails with
+    /// How long the live producer may park on a full credit window before
+    /// it latches a stall and the run fails with
     /// [`RunError::ChannelStalled`](lba_cpu::RunError::ChannelStalled)
-    /// instead of spinning forever on a wedged consumer. `None` (the
-    /// default) preserves the original unbounded-spin behaviour. Only
-    /// the live modes consult it; the modeled transport has no wall
-    /// clock.
+    /// instead of waiting forever on a wedged consumer. `None` (the
+    /// default) preserves the original unbounded wait. All four live modes
+    /// consult it — `run_live`, `run_live_parallel`, `run_remote` and
+    /// `run_live_epoch_parallel` — through their shared frame sender; the
+    /// modeled transport has no wall clock.
     pub channel_stall_timeout: Option<Duration>,
 }
 

@@ -41,6 +41,7 @@
 //! stream, so no capture filter or adaptive controller may drop records.
 
 use std::collections::VecDeque;
+use std::sync::atomic::AtomicU64;
 use std::sync::mpsc;
 use std::thread;
 
@@ -50,11 +51,14 @@ use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, EpochLifeguard, EpochSummarizer, Finding, HandlerCtx};
 use lba_lifeguards::TaintCheck;
 use lba_record::{EventRecord, TraceStats};
-use lba_transport::live::{shard_frame_channels, FrameReceiver};
+use lba_transport::live::FrameReceiver;
 use lba_transport::{ChannelStats, LogChannel, ModeledFrameChannel};
 
 use crate::config::SystemConfig;
-use crate::pipeline::{ConsumerTopology, EpochRouted, Producer, ProducerLink, Route};
+use crate::fanout::{finish_senders, live_senders, FanOutLink};
+use crate::pipeline::{
+    ConsumerTopology, EpochRouted, Producer, ProducerFinish, ProducerLink, Route,
+};
 use crate::replay::ReplayError;
 use crate::report::{LogStats, PipelineReport, ReplayReport, ReplayStreamStats};
 
@@ -377,23 +381,6 @@ pub fn run_epoch_parallel<E: EpochLifeguard>(
     })
 }
 
-/// The live epoch mode's [`ProducerLink`]: the [`EpochRouted`] topology
-/// fans whole epochs out over one framed SPSC sender per worker thread,
-/// with the epoch-end mark riding the sealed frame's wire header.
-struct LiveEpochLink {
-    topology: EpochRouted,
-    senders: Vec<lba_transport::live::FrameSender>,
-}
-
-impl ProducerLink for LiveEpochLink {
-    fn ship(&mut self, rec: &EventRecord) {
-        match self.topology.route(rec) {
-            Route::Epoch { worker, end_epoch } => self.senders[worker].push_epoch(rec, end_epoch),
-            _ => unreachable!("EpochRouted only yields epoch routes"),
-        }
-    }
-}
-
 /// Runs `program` under the live epoch-parallel pipeline: the producer
 /// thread runs the machine and fans whole epochs out to `workers`
 /// summarizer threads (each decoding its own compressed frame stream);
@@ -410,9 +397,15 @@ impl ProducerLink for LiveEpochLink {
 /// generic function remains the entry point for custom
 /// [`EpochLifeguard`]s.
 ///
+/// Like the other live modes, `record_to` tees each worker's stream to
+/// disk, `channel_stall_timeout` bounds how long the producer parks on a
+/// worker's full queue, and `fault.drain_drag` slows the workers' drain.
+///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the machine thread.
+/// Propagates any [`RunError`] from the machine thread, and
+/// [`RunError::ChannelStalled`] when a worker stopped draining for longer
+/// than the stall timeout.
 ///
 /// # Panics
 ///
@@ -429,17 +422,7 @@ where
 {
     assert!(workers > 0, "need at least one epoch worker");
     config.log.validate_framing()?;
-    let (mut senders, receivers) = shard_frame_channels(
-        workers,
-        config.log.live_channel_frames(),
-        config.log.frame_config(),
-    );
-    if let Some(record) = &config.log.record_to {
-        for (idx, tx) in senders.iter_mut().enumerate() {
-            let stream = u32::try_from(idx).expect("worker count fits u32");
-            tx.tee_into(crate::recorder::open_sink(record, stream)?);
-        }
-    }
+    let (senders, receivers) = live_senders(workers, config)?;
     let summarizers: Vec<E::Summarizer> = (0..workers).map(|_| master.summarizer()).collect();
     let (sum_txs, sum_rxs): (Vec<_>, Vec<_>) = (0..workers).map(|_| mpsc::channel()).unzip();
     let engine = DispatchEngine::new(config.dispatch);
@@ -452,7 +435,7 @@ where
             .map(|((mut rx, mut summarizer), sum_tx)| {
                 let engine = &engine;
                 let config = &*config;
-                scope.spawn(move || -> ChannelStats {
+                scope.spawn(move || {
                     let mut mem = MemSystem::new(config.mem_dual());
                     let mut no_findings = Vec::new();
                     // Tail-epoch openness is tracked over *all* records
@@ -480,7 +463,6 @@ where
                         let _ = sum_tx.send(summarizer.finish_epoch());
                     }
                     debug_assert!(no_findings.is_empty(), "summarizers never report");
-                    rx.stats()
                 })
             })
             .collect();
@@ -514,29 +496,28 @@ where
         // link — and every sender — drops when this closure returns,
         // closing the worker streams so the consumers and merge finish
         // whether or not the run errored.
-        let produced = (|| -> Result<crate::pipeline::ProducerFinish, RunError> {
+        let produced = (|| -> Result<(ProducerFinish, Vec<ChannelStats>), RunError> {
             let mut machine = Machine::new(program, config.machine);
             let mut mem = MemSystem::new(config.mem_single());
             let mut producer = Producer::passthrough();
-            let mut link = LiveEpochLink {
+            // The passthrough producer runs no controller, so nothing
+            // reads the finding count.
+            let no_findings = AtomicU64::new(0);
+            let mut link = FanOutLink {
                 topology: EpochRouted::new(workers, config.log.epoch_records),
                 senders,
+                finding_count: &no_findings,
             };
             machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
             let finish = producer.finish(&mut link);
-            for tx in link.senders.iter_mut() {
-                tx.flush();
-                crate::recorder::finish_tee(tx.take_tee())?;
-            }
-            Ok(finish)
+            finish_senders(link.senders).map(|worker_log| (finish, worker_log))
         })();
 
-        let worker_log: Vec<ChannelStats> = consumers
-            .into_iter()
-            .map(|h| h.join().expect("worker thread must not panic"))
-            .collect();
+        for consumer in consumers {
+            consumer.join().expect("worker thread must not panic");
+        }
         let (findings, epochs) = merge.join().expect("merge thread must not panic");
-        let finish = produced?;
+        let (finish, worker_log) = produced?;
         Ok(LiveEpochParallelReport {
             program: program.name().to_string(),
             workers,
@@ -734,6 +715,29 @@ mod tests {
     use crate::cosim::run_lba;
     use lba_lifeguard::FindingKind;
     use lba_workloads::{bugs, Benchmark};
+
+    #[test]
+    fn stalled_epoch_worker_is_a_run_error_not_a_hang() {
+        // The epoch twin of the remote mode's stalled-credit-window test: a
+        // one-frame queue and a worker dragged hard enough to out-wait the
+        // stall timeout — the producer must park, latch, and error.
+        let program = bugs::memory_bugs();
+        let mut config = SystemConfig::default();
+        config.log.buffer_bytes = 64; // one-frame queue
+        config.log.records_per_frame = 8;
+        config.log.channel_stall_timeout = Some(std::time::Duration::from_millis(20));
+        config.log.fault = Some(lba_transport::FaultProfile {
+            drain_drag: 100_000_000,
+            ..lba_transport::FaultProfile::default()
+        });
+        let start = std::time::Instant::now();
+        let err = run_live_taint_parallel(&program, 1, &config).unwrap_err();
+        assert_eq!(err, RunError::ChannelStalled);
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(30),
+            "the stall must latch once, not hang"
+        );
+    }
 
     #[test]
     fn epoch_parallel_taint_matches_sequential_on_the_exploit() {

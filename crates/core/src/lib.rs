@@ -46,6 +46,7 @@
 //! # Ok::<(), lba::RunError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod config;
@@ -54,6 +55,7 @@ mod cosim;
 pub mod epoch_parallel;
 mod error;
 pub mod experiment;
+mod fanout;
 mod kind;
 mod live;
 pub mod live_parallel;

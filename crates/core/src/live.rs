@@ -22,10 +22,11 @@ use lba_cache::MemSystem;
 use lba_cpu::{Machine, RunError};
 use lba_isa::Program;
 use lba_lifeguard::{DegradationRequest, DispatchEngine, Lifeguard};
-use lba_transport::live;
+use lba_transport::FrameSender;
 
 use crate::config::SystemConfig;
-use crate::pipeline::{Producer, ProducerLink};
+use crate::fanout::{finish_senders, live_senders};
+use crate::pipeline::{Producer, ProducerFinish, ProducerLink};
 use crate::report::{LiveReport, LogStats, PipelineReport};
 
 /// Encoding of the analysis-side dial slot the consumer publishes and the
@@ -42,7 +43,7 @@ const DIAL_DISENGAGE: u64 = 2;
 /// queue occupancy plus the finding count and dial requests the consumer
 /// thread publishes through atomics.
 struct LiveLink<'a> {
-    tx: live::FrameSender,
+    tx: FrameSender,
     finding_count: &'a AtomicU64,
     dial: &'a AtomicU64,
 }
@@ -107,26 +108,14 @@ pub fn run_live(
     config: &SystemConfig,
 ) -> Result<LiveReport, RunError> {
     config.log.validate_framing()?;
-    // The queue depth — frames in flight before the producer blocks — is
-    // the live analogue of the modeled buffer's byte budget, derived from
-    // `buffer_bytes` rather than hard-coded (regression: a fixed depth of
-    // 64 used to ignore the budget entirely).
-    let (mut tx, mut rx) =
-        live::frame_channel(config.log.live_channel_frames(), config.log.frame_config());
-    // Flight recorder: mirror every shipped frame into stream 0. The sink
-    // moves to the producer thread with `tx` (it is `Send`), so recording
-    // costs nothing on the consumer.
-    if let Some(record) = &config.log.record_to {
-        tx.tee_into(crate::recorder::open_sink(record, 0)?);
-    }
-    // Bound the producer's spin on a full queue: a consumer that genuinely
-    // stops draining surfaces as `RunError::ChannelStalled`, not a livelock.
-    tx.set_stall_timeout(config.log.channel_stall_timeout);
-    // Fault injection, live flavour: the consumer burns spin cycles per
-    // frame so the queue genuinely fills and the load signal climbs.
-    if let Some(fault) = &config.log.fault {
-        rx.set_drag(fault.drain_drag);
-    }
+    // One channel as deep as the buffer budget allows, recorded as stream
+    // 0 on the producer thread, with the stall timeout and the fault
+    // profile's drain drag applied.
+    let (mut senders, mut receivers) = live_senders(1, config)?;
+    let (tx, mut rx) = (
+        senders.pop().expect("one sender"),
+        receivers.pop().expect("one receiver"),
+    );
     let engine = DispatchEngine::new(config.dispatch);
     let machine_config = config.machine;
     // The identical capture pass the co-simulation runs (range filter +
@@ -145,38 +134,21 @@ pub fn run_live(
     thread::scope(|scope| {
         let finding_count = &finding_count;
         let dial = &dial;
-        let producer = scope.spawn(
-            move || -> Result<crate::pipeline::ProducerFinish, RunError> {
-                let mut machine = Machine::new(program, machine_config);
-                let mut mem = MemSystem::new(config.mem_single());
-                let mut link = LiveLink {
-                    tx,
-                    finding_count,
-                    dial,
-                };
-                machine.run(&mut mem, |r| stage.observe(&r.record, &mut link))?;
-                // A latched stall means frames were silently discarded past
-                // the timeout: the run is no longer lossless and must fail
-                // loudly.
-                if link.tx.stalled() {
-                    return Err(RunError::ChannelStalled);
-                }
-                // Snap back out of degradation, settle fold counts, ship the
-                // tail — the shared epilogue.
-                let finish = stage.finish(&mut link);
-                // Seal the final partial frame *before* taking the tee back,
-                // so the recording carries the complete wire stream; the
-                // drop-flush below then has nothing left to ship.
-                link.tx.flush();
-                if link.tx.stalled() {
-                    return Err(RunError::ChannelStalled);
-                }
-                crate::recorder::finish_tee(link.tx.take_tee())?;
-                Ok(finish)
-                // `link.tx` drops here: flushes the final partial frame and
-                // closes the channel.
-            },
-        );
+        let producer = scope.spawn(move || -> Result<ProducerFinish, RunError> {
+            let mut machine = Machine::new(program, machine_config);
+            let mut mem = MemSystem::new(config.mem_single());
+            let mut link = LiveLink {
+                tx,
+                finding_count,
+                dial,
+            };
+            machine.run(&mut mem, |r| stage.observe(&r.record, &mut link))?;
+            // Snap back out of degradation, settle fold counts, ship the
+            // tail, then seal and close the channel (publishing its
+            // statistics to the receiver).
+            let finish = stage.finish(&mut link);
+            finish_senders(vec![link.tx]).map(|_| finish)
+        });
 
         // Consume on this thread: shadow-cost accounting still needs a
         // MemSystem, but live mode is functional — timing is not reported.

@@ -6,7 +6,7 @@
 //! threads. The producer runs the machine and routes each load/store
 //! record to the shard owning its cache line (broadcasting everything
 //! else — the identical [`ShardedByLine`] topology the modeled mode uses),
-//! pushing into one [`FrameSender`](lba_transport::live::FrameSender) per
+//! pushing into one [`FrameSender`](lba_transport::FrameSender) per
 //! shard. Because every shard owns a full compressor/decompressor pair,
 //! the value predictors never thread state across shards, and the N
 //! consumer threads decode their frame streams *concurrently* — closing
@@ -34,68 +34,17 @@ use lba_cache::MemSystem;
 use lba_cpu::{Machine, RunError};
 use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
-use lba_record::EventRecord;
-use lba_transport::live::shard_frame_channels;
-use lba_transport::{ChannelStats, LoadSample};
+use lba_transport::ChannelStats;
 
 use crate::config::SystemConfig;
-use crate::pipeline::{ConsumerTopology, Producer, ProducerLink, Route, ShardedByLine};
+use crate::fanout::{finish_senders, live_senders, FanOutLink};
+use crate::pipeline::{Producer, ProducerFinish, ShardedByLine};
 use crate::report::{LiveParallelReport, LogStats, PipelineReport};
 
 /// The lifeguard-core MemSystem index used by every consumer thread (each
 /// thread owns a private dual-core memory system; live mode reports no
 /// modeled clocks, so the geometry only feeds shadow-cost accounting).
 const LG_CORE: usize = 1;
-
-/// The live sharded mode's [`ProducerLink`]: one framed SPSC sender per
-/// shard, the [`ShardedByLine`] topology deciding routed-vs-broadcast,
-/// and the consumers' published finding count as the snapback signal.
-struct LiveShardLink<'a> {
-    topology: ShardedByLine,
-    senders: Vec<lba_transport::live::FrameSender>,
-    finding_count: &'a AtomicU64,
-}
-
-impl ProducerLink for LiveShardLink<'_> {
-    fn ship(&mut self, rec: &EventRecord) {
-        match self.topology.route(rec) {
-            Route::Shard(owner) => self.senders[owner].push(rec),
-            _ => {
-                for tx in self.senders.iter_mut() {
-                    tx.push(rec);
-                }
-            }
-        }
-    }
-
-    fn on_engage(&mut self) {
-        for tx in self.senders.iter_mut() {
-            tx.flush();
-            tx.set_degraded(true);
-        }
-    }
-
-    fn on_disengage(&mut self) {
-        for tx in self.senders.iter_mut() {
-            tx.flush();
-            tx.set_degraded(false);
-        }
-    }
-
-    fn load_sample(&self) -> LoadSample {
-        // The sharded producer's load signal: the fullest shard's queue —
-        // one overloaded shard is what blocks the producer.
-        self.senders
-            .iter()
-            .map(|tx| tx.load_sample())
-            .max_by_key(LoadSample::occupancy_permille)
-            .unwrap_or_default()
-    }
-
-    fn finding_count(&self) -> u64 {
-        self.finding_count.load(Ordering::Relaxed)
-    }
-}
 
 /// Runs `program` on one thread with the lifeguard sharded `shards` ways
 /// by address, each shard on its own OS thread with its own framed
@@ -139,28 +88,7 @@ pub fn run_live_parallel(
 ) -> Result<LiveParallelReport, RunError> {
     assert!(shards > 0, "need at least one shard");
     config.log.validate_framing()?;
-    let (mut senders, mut receivers) = shard_frame_channels(
-        shards,
-        config.log.live_channel_frames(),
-        config.log.frame_config(),
-    );
-    // Flight recorder: one segmented stream per shard, mirrored on the
-    // producer as each shard's frames ship.
-    if let Some(record) = &config.log.record_to {
-        for (idx, tx) in senders.iter_mut().enumerate() {
-            let stream = u32::try_from(idx).expect("shard count fits u32");
-            tx.tee_into(crate::recorder::open_sink(record, stream)?);
-        }
-    }
-    // Stall detection and fault injection, per shard (see `run_live`).
-    for tx in senders.iter_mut() {
-        tx.set_stall_timeout(config.log.channel_stall_timeout);
-    }
-    if let Some(fault) = &config.log.fault {
-        for rx in receivers.iter_mut() {
-            rx.set_drag(fault.drain_drag);
-        }
-    }
+    let (senders, receivers) = live_senders(shards, config)?;
     let make_lifeguard = &make_lifeguard;
     // The finding-snapback signal: consumers accumulate their finding
     // counts here; any growth the producer's controller observes snaps
@@ -172,7 +100,7 @@ pub fn run_live_parallel(
         let consumers: Vec<_> = receivers
             .into_iter()
             .map(|mut rx| {
-                scope.spawn(move || -> (Vec<Finding>, ChannelStats) {
+                scope.spawn(move || -> Vec<Finding> {
                     let mut lifeguard = make_lifeguard();
                     let engine = DispatchEngine::new(config.dispatch);
                     let mut mem = MemSystem::new(config.mem_dual());
@@ -209,7 +137,7 @@ pub fn run_live_parallel(
                         }
                     }
                     engine.finish(lifeguard.as_mut(), &mut mem, LG_CORE, &mut findings);
-                    (findings, rx.stats())
+                    findings
                 })
             })
             .collect();
@@ -219,46 +147,30 @@ pub fn run_live_parallel(
         // log out. The link — and with it every sender — drops when this
         // closure returns, closing the shard streams so the consumers can
         // finish whether or not the run errored.
-        let produced = (|| -> Result<crate::pipeline::ProducerFinish, RunError> {
+        let produced = (|| -> Result<(ProducerFinish, Vec<ChannelStats>), RunError> {
             let mut machine = Machine::new(program, config.machine);
             let mut mem = MemSystem::new(config.mem_single());
             let seed = make_lifeguard();
             let mut producer = Producer::sharded(seed.as_ref(), config);
             drop(seed);
-            let mut link = LiveShardLink {
+            let mut link = FanOutLink {
                 topology: ShardedByLine::new(shards),
                 senders,
                 finding_count,
             };
             machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
-            if link.senders.iter().any(|tx| tx.stalled()) {
-                return Err(RunError::ChannelStalled);
-            }
             // Snap back out of degradation, settle fold counts, ship the
-            // tail.
+            // tail, then close every shard stream.
             let finish = producer.finish(&mut link);
-            // Seal each shard's final partial frame before taking the
-            // tees back, so the recordings carry the complete per-shard
-            // wire streams (the drop-flush below then ships nothing).
-            for tx in link.senders.iter_mut() {
-                tx.flush();
-                crate::recorder::finish_tee(tx.take_tee())?;
-            }
-            if link.senders.iter().any(|tx| tx.stalled()) {
-                return Err(RunError::ChannelStalled);
-            }
-            Ok(finish)
+            finish_senders(link.senders).map(|shard_log| (finish, shard_log))
         })();
 
-        let mut shard_findings = Vec::with_capacity(shards);
-        let mut shard_log = Vec::with_capacity(shards);
-        for handle in consumers {
-            let (findings, stats) = handle.join().expect("consumer thread must not panic");
-            shard_findings.push(findings);
-            shard_log.push(stats);
-        }
+        let shard_findings: Vec<_> = consumers
+            .into_iter()
+            .map(|handle| handle.join().expect("consumer thread must not panic"))
+            .collect();
         let findings = crate::parallel::merge_shard_findings(shard_findings);
-        let finish = produced?;
+        let (finish, shard_log) = produced?;
         Ok(LiveParallelReport {
             program: program.name().to_string(),
             shards,

@@ -16,8 +16,10 @@
 //! Back-pressure crosses the wire as an explicit credit window sized from
 //! [`LogConfig::live_channel_frames`](crate::LogConfig::live_channel_frames)
 //! — the same budget-derived depth the in-process channels use — so
-//! `buffer_bytes` semantics, [`LoadSample`]-driven adaptive degradation,
-//! and the stall-timeout discipline all survive the socket hop.
+//! `buffer_bytes` semantics,
+//! [`LoadSample`](lba_transport::LoadSample)-driven adaptive degradation,
+//! and the stall-timeout discipline all survive the socket hop: the
+//! socket is just another credit window under the shared frame sender.
 //!
 //! Fidelity contract: the router ([`ShardedByLine`]), per-shard record
 //! order, frame boundaries, and capture pass are identical to
@@ -36,73 +38,23 @@ use std::thread;
 
 use lba_cache::MemSystem;
 use lba_compress::FrameDecoder;
-use lba_cpu::{Machine, RunError};
+use lba_cpu::Machine;
 use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
 use lba_record::EventRecord;
-use lba_transport::socket::{socket_pair, SocketSender, SocketSource};
-use lba_transport::{ChannelStats, FrameSource, LoadSample};
+use lba_transport::socket::{socket_pair, SocketSource};
+use lba_transport::{ChannelStats, FrameSource};
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
-use crate::pipeline::{ConsumerTopology, Producer, ProducerLink, Route, ShardedByLine};
+use crate::fanout::{drain_drag, finish_senders, open_senders, FanOutLink};
+use crate::pipeline::{Producer, ProducerFinish, ShardedByLine};
 use crate::replay::ReplayError;
 use crate::report::{LogStats, PipelineReport, RemoteReport};
 
 /// The lifeguard-core MemSystem index used by every worker (shadow-cost
 /// accounting only; the socket modes report no modeled clocks).
 const LG_CORE: usize = 1;
-
-/// The remote mode's [`ProducerLink`]: one credit-windowed socket sender
-/// per shard, the [`ShardedByLine`] topology deciding routed-vs-broadcast
-/// — the socket twin of the live mode's `LiveShardLink`.
-struct RemoteShardLink<'a> {
-    topology: ShardedByLine,
-    senders: Vec<SocketSender>,
-    finding_count: &'a AtomicU64,
-}
-
-impl ProducerLink for RemoteShardLink<'_> {
-    fn ship(&mut self, rec: &EventRecord) {
-        match self.topology.route(rec) {
-            Route::Shard(owner) => self.senders[owner].push(rec),
-            _ => {
-                for tx in self.senders.iter_mut() {
-                    tx.push(rec);
-                }
-            }
-        }
-    }
-
-    fn on_engage(&mut self) {
-        for tx in self.senders.iter_mut() {
-            tx.flush();
-            tx.set_degraded(true);
-        }
-    }
-
-    fn on_disengage(&mut self) {
-        for tx in self.senders.iter_mut() {
-            tx.flush();
-            tx.set_degraded(false);
-        }
-    }
-
-    fn load_sample(&self) -> LoadSample {
-        // The fullest shard's credit window — one overloaded worker is
-        // what blocks the producer. Credits are absorbed at every ship,
-        // so the sample is at most one frame stale.
-        self.senders
-            .iter()
-            .map(|tx| tx.load_sample())
-            .max_by_key(LoadSample::occupancy_permille)
-            .unwrap_or_default()
-    }
-
-    fn finding_count(&self) -> u64 {
-        self.finding_count.load(Ordering::Relaxed)
-    }
-}
 
 /// Runs `program` on one thread with the lifeguard sharded `workers` ways
 /// by address, each shard's sealed frames crossing a Unix-domain socket
@@ -124,9 +76,10 @@ impl ProducerLink for RemoteShardLink<'_> {
 /// # Errors
 ///
 /// [`LbaError::Run`] for machine/config failures and a stalled credit
-/// window ([`RunError::ChannelStalled`]); [`LbaError::Socket`] when a
-/// wire tears (a worker died mid-run); [`LbaError::Replay`] when a frame
-/// that crossed the wire intact fails to decode.
+/// window ([`RunError::ChannelStalled`](lba_cpu::RunError::ChannelStalled));
+/// [`LbaError::Socket`] when a wire tears (a worker died mid-run);
+/// [`LbaError::Replay`] when a frame that crossed the wire intact fails to
+/// decode.
 ///
 /// # Panics
 ///
@@ -140,23 +93,12 @@ pub fn run_remote(
     assert!(workers > 0, "need at least one remote worker");
     config.log.validate_framing()?;
     let window = u32::try_from(config.log.live_channel_frames()).expect("window fits u32");
-    let mut senders = Vec::with_capacity(workers);
-    let mut sources = Vec::with_capacity(workers);
-    for shard in 0..workers {
-        let stream = u32::try_from(shard).expect("worker count fits u32");
-        let (sink, source) = socket_pair(stream, window)?;
-        let mut tx = SocketSender::new(sink, config.log.frame_config());
-        tx.set_stall_timeout(config.log.channel_stall_timeout);
-        // Flight recorder: one segmented stream per shard, mirrored on
-        // the producer as each shard's frames ship — the recording is
-        // identical to the live mode's.
-        if let Some(record) = &config.log.record_to {
-            tx.tee_into(crate::recorder::open_sink(record, stream)?);
-        }
-        senders.push(tx);
-        sources.push(source);
-    }
-    let drag = config.log.fault.as_ref().map_or(0, |f| f.drain_drag);
+    // One socket per shard; each shard's stream is recorded exactly as
+    // the live mode records it.
+    let (senders, sources) = open_senders(workers, config, |stream| {
+        socket_pair(stream, window).map_err(LbaError::from)
+    })?;
+    let drag = drain_drag(config);
     let make_lifeguard = &make_lifeguard;
     // The finding-snapback signal, published by workers exactly as the
     // in-process consumers publish theirs.
@@ -175,39 +117,23 @@ pub fn run_remote(
         // Produce on this thread. The link — and with it every sender —
         // drops when this closure returns, closing the sockets so the
         // workers see EOF and finish whether or not the run errored.
-        let produced =
-            (|| -> Result<(crate::pipeline::ProducerFinish, Vec<ChannelStats>), LbaError> {
-                let mut machine = Machine::new(program, config.machine);
-                let mut mem = MemSystem::new(config.mem_single());
-                let seed = make_lifeguard();
-                let mut producer = Producer::sharded(seed.as_ref(), config);
-                drop(seed);
-                let mut link = RemoteShardLink {
-                    topology: ShardedByLine::new(workers),
-                    senders,
-                    finding_count,
-                };
-                machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
-                if link.senders.iter().any(SocketSender::stalled) {
-                    return Err(RunError::ChannelStalled.into());
-                }
-                // Snap back out of degradation, settle fold counts, ship the
-                // tail, then close each stream: seal the final partial frame,
-                // take the recording tee back, and write the End record.
-                let finish = producer.finish(&mut link);
-                let mut stalled = false;
-                let mut shard_log = Vec::with_capacity(workers);
-                for mut tx in link.senders.drain(..) {
-                    tx.flush();
-                    crate::recorder::finish_tee(tx.take_tee())?;
-                    stalled |= tx.stalled();
-                    shard_log.push(tx.finish()?);
-                }
-                if stalled {
-                    return Err(RunError::ChannelStalled.into());
-                }
-                Ok((finish, shard_log))
-            })();
+        let produced = (|| -> Result<(ProducerFinish, Vec<ChannelStats>), LbaError> {
+            let mut machine = Machine::new(program, config.machine);
+            let mut mem = MemSystem::new(config.mem_single());
+            let seed = make_lifeguard();
+            let mut producer = Producer::sharded(seed.as_ref(), config);
+            drop(seed);
+            let mut link = FanOutLink {
+                topology: ShardedByLine::new(workers),
+                senders,
+                finding_count,
+            };
+            machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
+            // Snap back out of degradation, settle fold counts, ship the
+            // tail, then close each stream with its End record.
+            let finish = producer.finish(&mut link);
+            finish_senders(link.senders).map(|shard_log| (finish, shard_log))
+        })();
 
         let mut shard_findings = Vec::with_capacity(workers);
         let mut worker_err: Option<LbaError> = None;
@@ -298,6 +224,7 @@ mod tests {
     use super::*;
     use crate::kind::LifeguardKind;
     use crate::live_parallel::run_live_parallel;
+    use lba_cpu::RunError;
     use lba_lifeguard::FindingKind;
     use lba_workloads::bugs;
 

@@ -26,6 +26,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod error;
 mod machine;
 mod thread;

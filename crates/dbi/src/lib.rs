@@ -39,6 +39,8 @@
 //! assert!(overhead > 10, "DBI charges translation + dispatch + analysis");
 //! ```
 
+#![forbid(unsafe_code)]
+
 use lba_cache::MemSystem;
 use lba_lifeguard::{Finding, HandlerCtx, Lifeguard};
 use lba_record::{EventKind, EventRecord};

@@ -36,6 +36,8 @@
 //! assert_eq!(program.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod inst;
 mod parse;

@@ -61,6 +61,8 @@
 //! assert_eq!(lifeguard.stores, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cost;
 mod degradation;
 mod dispatch;

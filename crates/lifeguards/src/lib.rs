@@ -86,6 +86,8 @@
 //! assert_eq!(findings.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod addrcheck;
 mod lockset;
 mod memprofile;

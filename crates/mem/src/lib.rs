@@ -20,6 +20,8 @@
 //! # Ok::<(), lba_mem::HeapError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod alloc;
 pub mod layout;
 mod memory;

@@ -21,6 +21,8 @@
 //! assert_eq!(stats.count(EventKind::Load), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod event;
 mod mask;
 mod stats;

@@ -3,17 +3,14 @@
 //!
 //! The paper's log transport is a stream of compressed cache-line-multiple
 //! frames flowing from the capture engine to the dispatch engine. This
-//! trait captures that contract at record granularity — push on the
-//! producer side, pop on the consumer side, statistics in wire bytes — so
-//! the co-simulation and the live two-thread pipeline drive the identical
-//! interface and differ only in *how* frames move:
-//!
-//! * [`ModeledFrameChannel`](crate::ModeledFrameChannel) — deterministic:
-//!   frames are timestamped and queued against a byte budget, giving exact
-//!   back-pressure and lag accounting;
-//! * [`LiveFrameChannel`](crate::live::LiveFrameChannel) — real: frame byte
-//!   buffers cross an SPSC queue between OS threads, one queue operation
-//!   per frame instead of per record.
+//! trait captures that contract at record granularity for the
+//! single-threaded co-simulation — push on the producer side, pop on the
+//! consumer side, statistics in wire bytes — and
+//! [`ModeledFrameChannel`](crate::ModeledFrameChannel) implements it with
+//! timestamped frames queued against a byte budget, giving exact
+//! back-pressure and lag accounting. Real transports, where producer and
+//! consumer run on different threads, ship through a
+//! [`FrameSender`](crate::FrameSender) instead.
 //!
 //! # Back-pressure protocol
 //!
@@ -21,9 +18,7 @@
 //! [`PushOutcome::BackPressure`] means a sealed frame did not fit and is
 //! *parked*. The producer must free space — pop records via
 //! [`pop_record`](LogChannel::pop_record) — and call
-//! [`retry_parked`](LogChannel::retry_parked) until it succeeds. Channels
-//! that resolve back-pressure internally by blocking (the live channel)
-//! never return `BackPressure`.
+//! [`retry_parked`](LogChannel::retry_parked) until it succeeds.
 
 use lba_record::{EventKind, EventRecord};
 
@@ -214,8 +209,7 @@ impl ChannelStats {
 }
 
 /// A record handed to the consumer, with the producer-clock cycle at which
-/// its frame was shipped (zero for live channels, which have no modeled
-/// clock).
+/// its frame was shipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoppedRecord {
     /// The event record.
@@ -265,7 +259,7 @@ pub enum PushOutcome {
 /// The framed log transport contract (see the module docs).
 pub trait LogChannel {
     /// Pushes one captured record. `now` is the producer-core cycle used to
-    /// timestamp the frame this record ends up in; live channels ignore it.
+    /// timestamp the frame this record ends up in.
     fn push_record(&mut self, record: &EventRecord, now: u64) -> PushOutcome;
 
     /// Seals the open partial frame so every pushed record becomes visible
@@ -274,8 +268,7 @@ pub trait LogChannel {
     fn flush(&mut self, now: u64) -> PushOutcome;
 
     /// Pops the next record on the consumer side. `None` means no record is
-    /// currently available (modeled: buffer empty; live: channel closed and
-    /// drained).
+    /// currently available.
     ///
     /// This is the record-granular legacy path, kept callable as the
     /// benchmark baseline; batch consumers use

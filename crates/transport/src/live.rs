@@ -2,18 +2,15 @@
 //!
 //! The deterministic [`ModeledFrameChannel`](crate::ModeledFrameChannel)
 //! gives exact timing; this module gives the *functional* equivalent with
-//! genuine parallelism. Two transports live here:
+//! genuine parallelism. [`frame_channel`] pairs a [`FrameSender`] over an
+//! in-process [`FrameQueue`] with a [`FrameReceiver`]: the producer
+//! compresses records into cache-line-multiple frames ([`FrameEncoder`])
+//! and ships each frame as one byte buffer, amortising a queue operation
+//! over `records_per_frame` records; the consumer decompresses on its own
+//! thread. This is the live analogue of the paper's compressed log moving
+//! through the cache hierarchy, and it measures real wire bytes per record.
 //!
-//! * [`channel`] — the legacy per-record SPSC queue: one queue operation
-//!   per [`EventRecord`]. Kept as the uninstrumented baseline the framed
-//!   channel is benchmarked against.
-//! * [`frame_channel`] / [`LiveFrameChannel`] — the framed transport: the
-//!   producer compresses records into cache-line-multiple frames
-//!   ([`FrameEncoder`]) and ships each frame as one byte buffer, amortising
-//!   a queue operation over `records_per_frame` records; the consumer
-//!   decompresses on its own thread. This is the live analogue of the
-//!   paper's compressed log moving through the cache hierarchy, and it
-//!   measures real wire bytes per record.
+//! [`FrameEncoder`]: lba_compress::FrameEncoder
 //!
 //! # Examples
 //!
@@ -38,27 +35,25 @@
 //! assert!(rx.stats().frames >= 1);
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
 
 use crossbeam::queue::ArrayQueue;
 
-use lba_compress::{Frame, FrameConfig, FrameDecoder, FrameEncoder};
+use lba_compress::{Frame, FrameConfig, FrameDecoder};
 use lba_record::EventRecord;
 
-use crate::channel::{
-    ChannelStats, LoadSample, LogChannel, PoppedFrame, PoppedRecord, PushOutcome,
-};
-use crate::sink::{ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError};
+use crate::channel::{ChannelStats, LoadSample};
+use crate::sender::CreditWindow;
+pub use crate::sender::FrameSender;
+use crate::sink::SinkError;
 
 /// Spin briefly before yielding to the scheduler: the peer is typically
 /// mid-frame (microseconds away), so burning a few dozen pause
 /// instructions is cheaper than a syscall per poll.
-fn backoff(spins: &mut u32) {
-    if *spins < 128 {
-        *spins += 1;
+fn backoff(attempt: u32) {
+    if attempt < 128 {
         std::hint::spin_loop();
     } else {
         thread::yield_now();
@@ -66,352 +61,72 @@ fn backoff(spins: &mut u32) {
 }
 
 struct Shared {
-    queue: ArrayQueue<EventRecord>,
-    closed: AtomicBool,
-    /// Set when the consumer is dropped, so a producer blocked on a full
-    /// queue can bail out instead of spinning forever.
-    consumer_gone: AtomicBool,
-}
-
-/// The application-side handle: pushes records, blocking on back-pressure.
-pub struct LiveProducer {
-    shared: Arc<Shared>,
-}
-
-/// The lifeguard-side handle: pops records, blocking until data or close.
-pub struct LiveConsumer {
-    shared: Arc<Shared>,
-}
-
-/// Creates a bounded SPSC log channel holding up to `capacity_records`
-/// in-flight records — one queue operation per record.
-///
-/// Dropping the [`LiveProducer`] closes the channel; [`LiveConsumer::recv`]
-/// then drains the remaining records and returns `None`.
-///
-/// # Panics
-///
-/// Panics if `capacity_records` is zero.
-#[must_use]
-pub fn channel(capacity_records: usize) -> (LiveProducer, LiveConsumer) {
-    assert!(
-        capacity_records > 0,
-        "live channel capacity must be non-zero"
-    );
-    let shared = Arc::new(Shared {
-        queue: ArrayQueue::new(capacity_records),
-        closed: AtomicBool::new(false),
-        consumer_gone: AtomicBool::new(false),
-    });
-    (
-        LiveProducer {
-            shared: Arc::clone(&shared),
-        },
-        LiveConsumer { shared },
-    )
-}
-
-impl LiveProducer {
-    /// Sends one record, spinning (with yields) while the buffer is full —
-    /// the live analogue of the model's back-pressure stall. The record is
-    /// dropped if the consumer has gone away (e.g. panicked), so the
-    /// producer cannot hang.
-    pub fn send(&self, record: EventRecord) {
-        let mut rec = record;
-        let mut spins = 0;
-        loop {
-            match self.shared.queue.push(rec) {
-                Ok(()) => return,
-                Err(back) => {
-                    if self.shared.consumer_gone.load(Ordering::Acquire) {
-                        return;
-                    }
-                    rec = back;
-                    backoff(&mut spins);
-                }
-            }
-        }
-    }
-}
-
-impl Drop for LiveProducer {
-    fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Release);
-    }
-}
-
-impl LiveConsumer {
-    /// Receives the next record, blocking until one is available. Returns
-    /// `None` once the producer is dropped and the queue is drained.
-    pub fn recv(&self) -> Option<EventRecord> {
-        let mut spins = 0;
-        loop {
-            if let Some(rec) = self.shared.queue.pop() {
-                return Some(rec);
-            }
-            if self.shared.closed.load(Ordering::Acquire) {
-                // Drain anything that raced with the close flag.
-                return self.shared.queue.pop();
-            }
-            backoff(&mut spins);
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<EventRecord> {
-        self.shared.queue.pop()
-    }
-}
-
-impl Drop for LiveConsumer {
-    fn drop(&mut self) {
-        self.shared.consumer_gone.store(true, Ordering::Release);
-    }
-}
-
-struct FrameShared {
     queue: ArrayQueue<Vec<u8>>,
     /// Spent wire buffers returned by the consumer for the producer to
     /// refill, sparing an allocation (and a cross-thread free) per frame.
     pool: ArrayQueue<Vec<u8>>,
     closed: AtomicBool,
-    /// Set when the receiver is dropped, so a sender blocked on a full
+    /// Set when the receiver is dropped, so a sender parked on a full
     /// queue (including the flush in its own Drop) cannot hang.
     consumer_gone: AtomicBool,
-    /// Wire bits currently queued (producer adds, consumer subtracts); a
-    /// lone relaxed counter so the consumer's pop path stays lock-free.
+    /// Frames and wire bits currently queued: the producer adds before
+    /// each push and the consumer subtracts after each pop, so the credit
+    /// check and the load sample never take the queue's lock.
+    queued: AtomicUsize,
     inflight_bits: AtomicU64,
-    /// Cumulative statistics, written by the producer once per frame.
+    /// The producer's final statistics, published when the sender closes.
     stats: Mutex<ChannelStats>,
 }
 
-/// A sealed frame's metadata, captured before its byte buffer moves into
-/// the queue so the accounting can be committed (or abandoned) after the
-/// enqueue attempt resolves.
-#[derive(Clone, Copy)]
-struct ShipTicket {
-    records: u32,
-    payload_bits: u64,
-    wire_bits: u64,
-    /// In-flight wire bits the instant this frame was sealed (the
-    /// high-water candidate).
-    inflight_bits: u64,
+/// The in-process [`CreditWindow`]: a bounded single-producer,
+/// single-consumer queue of frame buffers, one slot of credit per queued
+/// frame.
+pub struct FrameQueue {
+    shared: Arc<Shared>,
 }
 
-impl FrameShared {
-    fn snapshot(&self) -> ChannelStats {
-        *self.stats.lock().expect("stats lock")
+impl CreditWindow for FrameQueue {
+    fn try_credit(&mut self) -> Result<bool, SinkError> {
+        // `queued` never undercounts the queue, and only this (single)
+        // producer raises it, so a free slot seen here stays free.
+        Ok(self.shared.queued.load(Ordering::Acquire) < self.shared.queue.capacity())
     }
 
-    /// Marks a sealed frame in flight and captures its accounting ticket.
-    /// Must be called before the enqueue attempt (so the consumer's
-    /// [`account_pop`](Self::account_pop) can never run first and underflow
-    /// the counter); pair with [`commit_ship`](Self::commit_ship) once the
-    /// frame is queued, or [`abort_ship`](Self::abort_ship) if it is
-    /// discarded — cumulative statistics must only ever describe frames the
-    /// consumer can actually receive.
-    fn begin_ship(&self, frame: &Frame) -> ShipTicket {
-        let wire_bits = frame.wire_bits();
-        let inflight = self.inflight_bits.fetch_add(wire_bits, Ordering::Relaxed) + wire_bits;
-        ShipTicket {
-            records: frame.records,
-            payload_bits: frame.payload_bits,
-            wire_bits,
-            inflight_bits: inflight,
-        }
+    fn wait(&mut self, attempt: u32) -> Result<(), SinkError> {
+        backoff(attempt);
+        Ok(())
     }
 
-    /// Folds a successfully enqueued frame into the cumulative statistics.
-    fn commit_ship(&self, ticket: ShipTicket) {
-        let mut guard = self.stats.lock().expect("stats lock");
-        guard.records += u64::from(ticket.records);
-        guard.frames += 1;
-        guard.payload_bits += ticket.payload_bits;
-        guard.wire_bits += ticket.wire_bits;
-        guard.high_water_bits = guard.high_water_bits.max(ticket.inflight_bits);
+    fn consumer_gone(&self) -> bool {
+        self.shared.consumer_gone.load(Ordering::Acquire)
     }
 
-    /// Releases a discarded frame's in-flight occupancy without touching
-    /// the cumulative statistics.
-    fn abort_ship(&self, ticket: ShipTicket) {
-        self.inflight_bits
-            .fetch_sub(ticket.wire_bits, Ordering::Relaxed);
+    fn admit(&mut self, frame: Frame) -> Result<u64, SinkError> {
+        // Count the frame in flight before the push, so the consumer's
+        // subtraction can never run first and underflow the counters.
+        let bits = frame.wire_bits();
+        self.shared.queued.fetch_add(1, Ordering::AcqRel);
+        let inflight = self.shared.inflight_bits.fetch_add(bits, Ordering::Relaxed) + bits;
+        self.shared
+            .queue
+            .push(frame.bytes)
+            .map_err(|_| "frame queue full after credit was granted")?;
+        Ok(inflight)
     }
 
-    fn account_pop(&self, bytes: &[u8]) {
-        self.inflight_bits
-            .fetch_sub(bytes.len() as u64 * 8, Ordering::Relaxed);
-    }
-}
-
-/// Producer half of the framed live channel: owns the compressor.
-pub struct FrameSender {
-    encoder: FrameEncoder,
-    shared: Arc<FrameShared>,
-    /// Optional mirror of every shipped frame into a [`FrameSink`] (the
-    /// flight recorder); see [`tee_into`](Self::tee_into).
-    tee: ChannelTee,
-    /// How long [`ship`](Self::ship) may spin against a full queue before
-    /// declaring the consumer stalled; `None` (the default) spins forever,
-    /// the pre-timeout behaviour.
-    stall_timeout: Option<Duration>,
-    /// Latched once a ship attempt exceeded `stall_timeout`. Every later
-    /// frame is discarded immediately — the run is reporting a fatal
-    /// stall, so there is no consumer left worth waiting for.
-    stalled: bool,
-}
-
-impl FrameSender {
-    /// Mirrors every subsequently shipped frame into `sink` — the
-    /// flight-recorder hook. Frames are mirrored before entering the
-    /// queue, so the recording is the exact wire traffic in ship order
-    /// with `sealed_at` 0 (the live transport has no modeled clock). A
-    /// failing sink never disturbs the channel: the first error is
-    /// latched, the sink dropped, and the error surfaces from
-    /// [`take_tee`](Self::take_tee).
-    pub fn tee_into(&mut self, sink: Box<dyn FrameSink + Send>) {
-        self.tee.install(sink);
-    }
-
-    /// Takes the tee sink back (for finishing), or reports the first
-    /// mirror error if the sink failed mid-run.
-    ///
-    /// # Errors
-    ///
-    /// The first error a mirror write hit.
-    pub fn take_tee(&mut self) -> Result<Option<Box<dyn FrameSink + Send>>, SinkError> {
-        self.tee.take()
-    }
-
-    /// Bounds how long a ship may spin against a full queue before the
-    /// consumer is declared stalled (see [`stalled`](Self::stalled)).
-    /// `None` restores the unbounded spin.
-    pub fn set_stall_timeout(&mut self, timeout: Option<Duration>) {
-        self.stall_timeout = timeout;
-    }
-
-    /// Whether a ship attempt exceeded the stall timeout. Once set, the
-    /// sender discards every further frame; the driver surfaces the
-    /// condition as a run error.
-    #[must_use]
-    pub fn stalled(&self) -> bool {
-        self.stalled
-    }
-
-    /// The producer-visible transport load: queued frames against the
-    /// queue's slot capacity. One relaxed length read — cheap enough to
-    /// sample on every capture-controller step.
-    #[must_use]
-    pub fn load_sample(&self) -> LoadSample {
+    fn load_sample(&self) -> LoadSample {
         LoadSample {
-            inflight: self.shared.queue.len() as u64,
+            inflight: self.shared.queued.load(Ordering::Acquire) as u64,
             capacity: self.shared.queue.capacity() as u64,
         }
     }
 
-    /// Sets or clears the degraded-capture mark on subsequently sealed
-    /// frames; callers flush first so the mark is frame-accurate.
-    pub fn set_degraded(&mut self, on: bool) {
-        self.encoder.set_degraded(on);
+    fn spare_buffer(&mut self) -> Option<Vec<u8>> {
+        self.shared.pool.pop()
     }
 
-    /// Appends one record; when it completes a frame, ships the frame,
-    /// spinning (with yields) while the queue is full.
-    pub fn push(&mut self, record: &EventRecord) {
-        if let Some(frame) = self.encoder.push(record) {
-            self.ship(frame);
-        }
-    }
-
-    /// Like [`push`](Self::push), but seals and ships the open frame
-    /// immediately — with the epoch-end mark in its wire header — when
-    /// `end_epoch` is set, so frames never straddle epoch boundaries (see
-    /// [`EpochRouter`](crate::EpochRouter)). With `end_epoch` false this
-    /// is exactly `push`.
-    pub fn push_epoch(&mut self, record: &EventRecord, end_epoch: bool) {
-        if let Some(frame) = self.encoder.push_epoch(record, end_epoch) {
-            self.ship(frame);
-        }
-    }
-
-    /// Hands a consumer-returned buffer to the encoder for the next frame.
-    fn refill(&mut self) {
-        if let Some(buf) = self.shared.pool.pop() {
-            self.encoder.recycle(buf);
-        }
-    }
-
-    /// Seals and ships the open partial frame — call at syscalls so the
-    /// consumer sees every preceding record (containment), and rely on
-    /// [`Drop`] for the end-of-program flush.
-    pub fn flush(&mut self) {
-        if let Some(frame) = self.encoder.flush() {
-            self.ship(frame);
-        }
-    }
-
-    /// Producer-side statistics over shipped frames.
-    #[must_use]
-    pub fn stats(&self) -> ChannelStats {
-        self.shared.snapshot()
-    }
-
-    fn ship(&mut self, frame: Frame) {
-        if self.stalled {
-            // A stall was already declared: the run is on its way to a
-            // fatal error, so discard instead of re-paying the timeout on
-            // every sealed frame (the Drop-driven flush included).
-            return;
-        }
-        self.tee.mirror(&SealedFrame {
-            bytes: &frame.bytes,
-            records: frame.records,
-            sealed_at: 0,
-        });
-        let ticket = self.shared.begin_ship(&frame);
-        let mut bytes = frame.bytes;
-        let mut spins = 0;
-        // The stall clock starts at the first failed push, so the fast
-        // path never reads the OS clock.
-        let mut stall_start: Option<Instant> = None;
-        loop {
-            match self.shared.queue.push(bytes) {
-                Ok(()) => break,
-                Err(back) => {
-                    if self.shared.consumer_gone.load(Ordering::Acquire) {
-                        // Receiver dropped (e.g. panicked): discard rather
-                        // than spin forever — and back the accounting out,
-                        // so the statistics describe only frames that
-                        // actually shipped.
-                        self.shared.abort_ship(ticket);
-                        return;
-                    }
-                    if let Some(limit) = self.stall_timeout {
-                        let start = stall_start.get_or_insert_with(Instant::now);
-                        if start.elapsed() >= limit {
-                            // Consumer alive but not draining: latch the
-                            // stall instead of spinning unboundedly. The
-                            // frame is discarded with its accounting
-                            // backed out, exactly like the
-                            // consumer-gone path.
-                            self.shared.abort_ship(ticket);
-                            self.stalled = true;
-                            return;
-                        }
-                    }
-                    bytes = back;
-                    backoff(&mut spins);
-                }
-            }
-        }
-        self.shared.commit_ship(ticket);
-        self.refill();
-    }
-}
-
-impl Drop for FrameSender {
-    fn drop(&mut self) {
-        self.flush();
+    fn close(&mut self, stats: &ChannelStats) {
+        *self.shared.stats.lock().expect("stats lock") = *stats;
         self.shared.closed.store(true, Ordering::Release);
     }
 }
@@ -429,7 +144,7 @@ pub struct FrameReceiver {
     /// simulating a lifeguard core that drains slowly (see
     /// [`set_drag`](Self::set_drag)).
     drag: u32,
-    shared: Arc<FrameShared>,
+    shared: Arc<Shared>,
 }
 
 impl FrameReceiver {
@@ -463,15 +178,12 @@ impl FrameReceiver {
     /// buffer instead of copying it — for consumers (like the lifeguard
     /// dispatch) that only need `&EventRecord`.
     pub fn recv_ref(&mut self) -> Option<&EventRecord> {
-        loop {
-            if self.cursor < self.pending.len() {
-                self.cursor += 1;
-                return self.pending.get(self.cursor - 1);
-            }
+        while self.cursor >= self.pending.len() {
             let bytes = self.recv_frame()?;
-            self.decode(&bytes);
-            let _ = self.shared.pool.push(bytes); // return for reuse
+            self.ingest(bytes);
         }
+        self.cursor += 1;
+        self.pending.get(self.cursor - 1)
     }
 
     /// Receives a frame's worth of records as one slice, blocking until a
@@ -486,11 +198,7 @@ impl FrameReceiver {
     ///
     /// Panics if a frame fails to decode (see [`recv`](Self::recv)).
     pub fn recv_batch(&mut self) -> Option<&[EventRecord]> {
-        if self.cursor >= self.pending.len() {
-            let bytes = self.recv_frame()?;
-            self.ingest(bytes);
-        }
-        Some(self.serve_rest())
+        self.recv_batch_epoch().map(|(records, _)| records)
     }
 
     /// Like [`recv_batch`](Self::recv_batch), but also reports whether the
@@ -504,93 +212,69 @@ impl FrameReceiver {
             let bytes = self.recv_frame()?;
             self.ingest(bytes);
         }
-        let epoch_end = self.frame_epoch_end;
-        Some((self.serve_rest(), epoch_end))
-    }
-
-    /// Decodes a received frame buffer and returns it to the buffer pool.
-    fn ingest(&mut self, bytes: Vec<u8>) {
-        self.decode(&bytes);
-        let _ = self.shared.pool.push(bytes); // return for reuse
-    }
-
-    /// Hands out every decoded-but-unserved record as one slice.
-    fn serve_rest(&mut self) -> &[EventRecord] {
         let start = self.cursor;
         self.cursor = self.pending.len();
-        &self.pending[start..]
+        Some((&self.pending[start..], self.frame_epoch_end))
     }
 
     /// Non-blocking receive: `None` when no complete frame has arrived.
     pub fn try_recv(&mut self) -> Option<EventRecord> {
-        loop {
-            if let Some(rec) = self.next_pending() {
-                return Some(rec);
-            }
+        while self.cursor >= self.pending.len() {
             self.apply_drag();
-            let bytes = self.shared.queue.pop()?;
-            self.shared.account_pop(&bytes);
-            self.decode(&bytes);
-            let _ = self.shared.pool.push(bytes); // return for reuse
+            let bytes = self.pop_frame()?;
+            self.ingest(bytes);
         }
+        self.recv()
     }
 
-    /// Channel statistics (complete once the producer has been dropped).
+    /// The producer's statistics, published when the sender finishes or
+    /// is dropped (all zero before that).
     #[must_use]
     pub fn stats(&self) -> ChannelStats {
-        self.shared.snapshot()
+        *self.shared.stats.lock().expect("stats lock")
     }
 
-    #[inline]
-    fn next_pending(&mut self) -> Option<EventRecord> {
-        let rec = self.pending.get(self.cursor).copied()?;
-        self.cursor += 1;
-        Some(rec)
+    fn pop_frame(&self) -> Option<Vec<u8>> {
+        let bytes = self.shared.queue.pop()?;
+        self.shared
+            .inflight_bits
+            .fetch_sub(bytes.len() as u64 * 8, Ordering::Relaxed);
+        self.shared.queued.fetch_sub(1, Ordering::AcqRel);
+        Some(bytes)
     }
 
     fn recv_frame(&self) -> Option<Vec<u8>> {
         self.apply_drag();
-        let mut spins = 0;
+        let mut attempt = 0;
         loop {
-            if let Some(bytes) = self.shared.queue.pop() {
-                self.shared.account_pop(&bytes);
+            if let Some(bytes) = self.pop_frame() {
                 return Some(bytes);
             }
             if self.shared.closed.load(Ordering::Acquire) {
                 // Drain anything that raced with the close flag.
-                let bytes = self.shared.queue.pop()?;
-                self.shared.account_pop(&bytes);
-                return Some(bytes);
+                return self.pop_frame();
             }
-            backoff(&mut spins);
+            backoff(attempt);
+            attempt += 1;
         }
     }
 
-    fn decode(&mut self, bytes: &[u8]) {
-        // Drop only the consumed prefix: the unsplit channel can decode a
-        // frame to make room while earlier records are still unread.
-        self.pending.drain(..self.cursor);
+    /// Decodes a received frame buffer (every earlier record has been
+    /// served) and returns the buffer to the pool.
+    fn ingest(&mut self, bytes: Vec<u8>) {
+        self.pending.clear();
         self.cursor = 0;
-        self.frame_epoch_end = Frame::header_epoch_end(bytes);
+        self.frame_epoch_end = Frame::header_epoch_end(&bytes);
         self.decoder
-            .decode_frame(bytes, &mut self.pending)
+            .decode_frame(&bytes, &mut self.pending)
             .unwrap_or_else(|e| panic!("live frame failed to decode: {e}"));
+        let _ = self.shared.pool.push(bytes); // return for reuse
     }
 }
 
 impl Drop for FrameReceiver {
     fn drop(&mut self) {
         self.shared.consumer_gone.store(true, Ordering::Release);
-    }
-}
-
-/// The consumer half as a raw frame drain: blocks for the next sealed
-/// wire image, `Ok(None)` once the producer closed and the queue drained.
-/// A raw drain bypasses the record-level decode — do not interleave with
-/// [`recv`](FrameReceiver::recv) and friends mid-frame.
-impl FrameSource for FrameReceiver {
-    fn next_frame_bytes(&mut self) -> Result<Option<Vec<u8>>, SinkError> {
-        Ok(self.recv_frame())
     }
 }
 
@@ -606,35 +290,43 @@ impl FrameSource for FrameReceiver {
 /// Panics if `capacity_frames` is zero.
 #[must_use]
 pub fn frame_channel(capacity_frames: usize, config: FrameConfig) -> (FrameSender, FrameReceiver) {
+    let (queue, receiver) = frame_queue(capacity_frames, config);
+    (FrameSender::new(queue, config), receiver)
+}
+
+/// The two ends of [`frame_channel`] before a sender wraps the queue: the
+/// [`FrameQueue`] credit window and the [`FrameReceiver`] that drains it.
+///
+/// # Panics
+///
+/// Panics if `capacity_frames` is zero.
+#[must_use]
+pub fn frame_queue(capacity_frames: usize, config: FrameConfig) -> (FrameQueue, FrameReceiver) {
     assert!(
         capacity_frames > 0,
         "live channel capacity must be non-zero"
     );
-    let shared = Arc::new(FrameShared {
+    let shared = Arc::new(Shared {
         queue: ArrayQueue::new(capacity_frames),
         pool: ArrayQueue::new(capacity_frames),
         closed: AtomicBool::new(false),
         consumer_gone: AtomicBool::new(false),
+        queued: AtomicUsize::new(0),
         inflight_bits: AtomicU64::new(0),
         stats: Mutex::new(ChannelStats::default()),
     });
-    (
-        FrameSender {
-            encoder: FrameEncoder::new(config),
-            shared: Arc::clone(&shared),
-            tee: ChannelTee::default(),
-            stall_timeout: None,
-            stalled: false,
-        },
-        FrameReceiver {
-            decoder: FrameDecoder::new(config),
-            pending: Vec::new(),
-            cursor: 0,
-            frame_epoch_end: false,
-            drag: 0,
-            shared,
-        },
-    )
+    let queue = FrameQueue {
+        shared: Arc::clone(&shared),
+    };
+    let receiver = FrameReceiver {
+        decoder: FrameDecoder::new(config),
+        pending: Vec::new(),
+        cursor: 0,
+        frame_epoch_end: false,
+        drag: 0,
+        shared,
+    };
+    (queue, receiver)
 }
 
 /// Creates `shards` independent framed SPSC channels — the live-parallel
@@ -662,143 +354,6 @@ pub fn shard_frame_channels(
         .unzip()
 }
 
-/// Both halves of the framed live channel as one [`LogChannel`].
-///
-/// [`split`](LiveFrameChannel::split) yields the two thread-safe halves for
-/// the genuine two-thread pipeline; unsplit, the channel implements the
-/// trait for single-threaded drivers (tests, benches, and any code written
-/// against `dyn LogChannel`). In unsplit use a full queue is resolved by
-/// decoding the oldest frame in place, so pushes never block.
-pub struct LiveFrameChannel {
-    // Field order matters: the receiver must drop before the sender so the
-    // sender's flush-on-drop sees `consumer_gone` and cannot spin on a
-    // full queue with nobody left to pop it.
-    receiver: FrameReceiver,
-    sender: FrameSender,
-}
-
-impl LiveFrameChannel {
-    /// Creates the channel; see [`frame_channel`] for parameters.
-    #[must_use]
-    pub fn new(capacity_frames: usize, config: FrameConfig) -> Self {
-        let (sender, receiver) = frame_channel(capacity_frames, config);
-        LiveFrameChannel { sender, receiver }
-    }
-
-    /// Splits into the producer and consumer halves for cross-thread use.
-    #[must_use]
-    pub fn split(self) -> (FrameSender, FrameReceiver) {
-        (self.sender, self.receiver)
-    }
-
-    /// Mirrors every subsequently shipped frame into `sink`; see
-    /// [`FrameSender::tee_into`].
-    pub fn tee_into(&mut self, sink: Box<dyn FrameSink + Send>) {
-        self.sender.tee_into(sink);
-    }
-
-    /// Takes the tee sink back; see [`FrameSender::take_tee`].
-    ///
-    /// # Errors
-    ///
-    /// The first error a mirror write hit.
-    pub fn take_tee(&mut self) -> Result<Option<Box<dyn FrameSink + Send>>, SinkError> {
-        self.sender.take_tee()
-    }
-
-    fn ship_nonblocking(&mut self, frame: Frame) -> PushOutcome {
-        let wire_bits = frame.wire_bits();
-        self.sender.tee.mirror(&SealedFrame {
-            bytes: &frame.bytes,
-            records: frame.records,
-            sealed_at: 0,
-        });
-        let ticket = self.sender.shared.begin_ship(&frame);
-        let mut bytes = frame.bytes;
-        loop {
-            match self.sender.shared.queue.push(bytes) {
-                Ok(()) => break,
-                Err(back) => {
-                    bytes = back;
-                    // We own the consumer half: make room by decoding the
-                    // oldest frame instead of spinning against ourselves.
-                    let oldest = self
-                        .sender
-                        .shared
-                        .queue
-                        .pop()
-                        .expect("full queue has a frame");
-                    self.receiver.shared.account_pop(&oldest);
-                    self.receiver.decode(&oldest);
-                    let _ = self.receiver.shared.pool.push(oldest);
-                }
-            }
-        }
-        self.sender.shared.commit_ship(ticket);
-        self.sender.refill();
-        PushOutcome::Sealed { wire_bits }
-    }
-}
-
-impl LogChannel for LiveFrameChannel {
-    fn push_record(&mut self, record: &EventRecord, _now: u64) -> PushOutcome {
-        match self.sender.encoder.push(record) {
-            Some(frame) => self.ship_nonblocking(frame),
-            None => PushOutcome::Buffered,
-        }
-    }
-
-    fn flush(&mut self, _now: u64) -> PushOutcome {
-        match self.sender.encoder.flush() {
-            Some(frame) => self.ship_nonblocking(frame),
-            None => PushOutcome::Buffered,
-        }
-    }
-
-    fn pop_record(&mut self) -> Option<PoppedRecord> {
-        self.receiver.try_recv().map(|record| PoppedRecord {
-            record,
-            ready_at: 0,
-        })
-    }
-
-    fn pop_frame(&mut self) -> Option<PoppedFrame<'_>> {
-        let rx = &mut self.receiver;
-        if rx.cursor >= rx.pending.len() {
-            // Non-blocking like pop_record: only a frame already queued.
-            let bytes = rx.shared.queue.pop()?;
-            rx.shared.account_pop(&bytes);
-            rx.ingest(bytes);
-        }
-        let epoch_end = rx.frame_epoch_end;
-        Some(PoppedFrame {
-            records: rx.serve_rest(),
-            ready_at: 0,
-            epoch_end,
-        })
-    }
-
-    fn has_parked(&self) -> bool {
-        false // back-pressure is resolved inside push_record
-    }
-
-    fn retry_parked(&mut self, _now: u64) -> Option<u64> {
-        None
-    }
-
-    fn stats(&self) -> ChannelStats {
-        self.sender.shared.snapshot()
-    }
-
-    fn load_sample(&self) -> LoadSample {
-        self.sender.load_sample()
-    }
-
-    fn mark_degraded(&mut self, on: bool) {
-        self.sender.set_degraded(on);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,57 +363,9 @@ mod tests {
     }
 
     #[test]
-    fn records_arrive_in_order() {
-        let (tx, rx) = channel(8);
-        let writer = thread::spawn(move || {
-            for i in 0..1000 {
-                tx.send(rec(i));
-            }
-        });
-        let mut expected = 0;
-        while let Some(r) = rx.recv() {
-            assert_eq!(r.pc, expected);
-            expected += 1;
-        }
-        writer.join().unwrap();
-        assert_eq!(expected, 1000);
-    }
-
-    #[test]
-    fn small_buffer_exerts_back_pressure_without_loss() {
-        let (tx, rx) = channel(1);
-        let writer = thread::spawn(move || {
-            for i in 0..100 {
-                tx.send(rec(i));
-            }
-        });
-        let mut count = 0;
-        while rx.recv().is_some() {
-            count += 1;
-        }
-        writer.join().unwrap();
-        assert_eq!(count, 100);
-    }
-
-    #[test]
-    fn close_with_empty_queue_returns_none() {
-        let (tx, rx) = channel(4);
-        drop(tx);
-        assert_eq!(rx.recv(), None);
-    }
-
-    #[test]
-    fn try_recv_is_nonblocking() {
-        let (tx, rx) = channel(4);
-        assert_eq!(rx.try_recv(), None);
-        tx.send(rec(1));
-        assert_eq!(rx.try_recv().map(|r| r.pc), Some(1));
-    }
-
-    #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_rejected() {
-        let _ = channel(0);
+        let _ = frame_channel(0, FrameConfig::default());
     }
 
     #[test]
@@ -1062,38 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_timeout_latches_instead_of_spinning_forever() {
-        let (mut tx, rx) = frame_channel(
-            1,
-            FrameConfig {
-                records_per_frame: 2,
-                compress: true,
-            },
-        );
-        tx.set_stall_timeout(Some(Duration::from_millis(5)));
-        // Fill the queue's only slot; the consumer never drains it.
-        tx.push(&rec(0x1000));
-        tx.push(&rec(0x1008));
-        assert!(!tx.stalled());
-        let full = tx.load_sample();
-        assert_eq!((full.inflight, full.capacity), (1, 1));
-        assert_eq!(full.occupancy_permille(), 1000);
-        // The next sealed frame cannot ship: the sender must latch the
-        // stall within the timeout instead of spinning unboundedly.
-        tx.push(&rec(0x1010));
-        tx.push(&rec(0x1018));
-        assert!(tx.stalled(), "stall must latch once the timeout elapses");
-        // Later frames (the flush-on-drop included) are discarded
-        // immediately — no repeated timeout, and the stats stay honest.
-        let stats = tx.stats();
-        tx.push(&rec(0x1020));
-        tx.push(&rec(0x1028));
-        assert_eq!(tx.stats(), stats, "discarded frames must not count");
-        drop(tx);
-        drop(rx);
-    }
-
-    #[test]
     fn receiver_drag_slows_the_drain() {
         let (mut tx, mut rx) = frame_channel(
             4,
@@ -1114,32 +589,5 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(count, 40, "drag slows the drain but loses nothing");
-    }
-
-    #[test]
-    fn unsplit_channel_implements_the_trait_without_blocking() {
-        // Queue of one frame, frames of two records: pushes must make
-        // progress by decoding in place rather than deadlocking.
-        let mut ch = LiveFrameChannel::new(
-            1,
-            FrameConfig {
-                records_per_frame: 2,
-                compress: true,
-            },
-        );
-        let mut popped = Vec::new();
-        for i in 0..100 {
-            match ch.push_record(&rec(0x1000 + i * 8), i) {
-                PushOutcome::BackPressure { .. } => panic!("live channel never parks"),
-                PushOutcome::Buffered | PushOutcome::Sealed { .. } => {}
-            }
-        }
-        ch.flush(100);
-        while let Some(p) = ch.pop_record() {
-            popped.push(p.record.pc);
-        }
-        assert_eq!(popped.len(), 100);
-        assert!(popped.windows(2).all(|w| w[0] < w[1]), "in order");
-        assert_eq!(ch.stats().records, 100);
     }
 }

@@ -13,12 +13,11 @@
 //!   run *mirrors* its wire traffic into a recording while the normal
 //!   in-memory transport keeps flowing — the tee costs one `memcpy`-free
 //!   borrow per sealed frame plus whatever the secondary sink does.
-//! * The channels themselves participate: both `ModeledFrameChannel` and
-//!   the live `FrameSender` accept a tee sink
+//! * The producers themselves participate: both `ModeledFrameChannel` and
+//!   the `FrameSender` of every real transport accept a tee sink
 //!   ([`ModeledFrameChannel::tee_into`](crate::ModeledFrameChannel::tee_into),
-//!   [`FrameSender::tee_into`](crate::live::FrameSender::tee_into)) and
-//!   mirror every frame at the moment it seals, and the consumer halves
-//!   implement [`FrameSource`] to drain raw sealed frames.
+//!   [`FrameSender::tee_into`](crate::FrameSender::tee_into)) and mirror
+//!   every frame at the moment it seals.
 //!
 //! Sink failures (disk full, permissions) must not take down the
 //! monitored application: the channels latch the *first* sink error, stop

@@ -38,21 +38,23 @@
 //! frame it drains; a producer out of credits parks, exactly like a push
 //! against a full queue. [`SocketSink::load_sample`] reports
 //! outstanding-frames/window, so [`crate::LoadSample`]-driven adaptive
-//! degradation keeps working end-to-end across the socket. A consumer that
-//! stops returning credits is detected by the same stall-timeout discipline
-//! as the live channel: the sink latches [`SocketSink::stalled`] instead
-//! of spinning forever.
+//! degradation keeps working end-to-end across the socket. The sink is a
+//! [`CreditWindow`], so a [`FrameSender`](crate::FrameSender) drives it
+//! exactly like the live channel's queue: a consumer that stops returning
+//! credits trips the sender's stall timeout
+//! ([`FrameSender::stalled`](crate::FrameSender::stalled)) instead of
+//! parking forever.
 //!
 //! # Examples
 //!
 //! ```
 //! use lba_compress::FrameConfig;
 //! use lba_record::EventRecord;
-//! use lba_transport::socket::{socket_pair, SocketSender};
-//! use lba_transport::FrameSource;
+//! use lba_transport::socket::socket_pair;
+//! use lba_transport::{FrameSender, FrameSource};
 //!
 //! let (sink, mut source) = socket_pair(0, 8).unwrap();
-//! let mut tx = SocketSender::new(sink, FrameConfig::default());
+//! let mut tx = FrameSender::new(sink, FrameConfig::default());
 //! for i in 0..100 {
 //!     tx.push(&EventRecord::alu(0x1000 + i * 8, 0, None, None, None));
 //! }
@@ -69,13 +71,14 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use lba_compress::{Frame, FrameConfig, FrameEncoder};
-use lba_record::{payload_checksum, EventRecord};
+use lba_compress::Frame;
+use lba_record::payload_checksum;
 
 use crate::channel::{ChannelStats, LoadSample};
-use crate::sink::{ChannelTee, FrameSink, FrameSource, SealedFrame, SinkError};
+use crate::sender::{park, CreditWindow, Park};
+use crate::sink::{FrameSink, FrameSource, SealedFrame, SinkError};
 
 /// The 8-byte stream identifier opening every connection — the same ident
 /// the durable segment format uses, so `head -c8` tells you what is
@@ -277,9 +280,10 @@ impl SocketError {
 }
 
 /// Producer half of the socket transport: ships sealed frames over the
-/// wire under the credit window. Implements [`FrameSink`], so it drops
-/// into every seam a flight-recorder sink fits — including the live
-/// channel's tee.
+/// wire under the credit window. It is the socket [`CreditWindow`] under a
+/// [`FrameSender`](crate::FrameSender), and a [`FrameSink`] of its own whose
+/// [`put_frame`](FrameSink::put_frame) parks on credit through the same
+/// code.
 pub struct SocketSink<W: WireStream = UnixStream> {
     stream: W,
     endpoint: String,
@@ -292,17 +296,8 @@ pub struct SocketSink<W: WireStream = UnixStream> {
     /// FIFO, so popping the front converts a credit back into bits.
     outstanding_bits: VecDeque<u64>,
     inflight_bits: u64,
-    stats: ChannelStats,
-    /// How long a credit wait may block before the consumer is declared
-    /// stalled; `None` waits forever.
-    stall_timeout: Option<Duration>,
-    /// Latched once a credit wait exceeded `stall_timeout`. Every later
-    /// frame is discarded immediately, mirroring the live channel's
-    /// [`crate::live::FrameSender`]: the run is reporting a fatal stall,
-    /// so there is no consumer left worth waiting for.
-    stalled: bool,
     /// Latched when the peer disappears (EOF on the credit channel or a
-    /// broken-pipe write); later frames are discarded silently.
+    /// broken-pipe write).
     consumer_gone: bool,
     finished: bool,
 }
@@ -339,9 +334,6 @@ impl<W: WireStream> SocketSink<W> {
             acked: 0,
             outstanding_bits: VecDeque::new(),
             inflight_bits: 0,
-            stats: ChannelStats::default(),
-            stall_timeout: None,
-            stalled: false,
             consumer_gone: false,
             finished: false,
         };
@@ -352,21 +344,6 @@ impl<W: WireStream> SocketSink<W> {
         hello[16..20].copy_from_slice(&window.to_le_bytes());
         sink.write_wire(&hello)?;
         Ok(sink)
-    }
-
-    /// Bounds how long a credit wait may block before the consumer is
-    /// declared stalled (see [`stalled`](Self::stalled)). `None` restores
-    /// the unbounded wait.
-    pub fn set_stall_timeout(&mut self, timeout: Option<Duration>) {
-        self.stall_timeout = timeout;
-    }
-
-    /// Whether a credit wait exceeded the stall timeout. Once set, the
-    /// sink discards every further frame; the driver surfaces the
-    /// condition as a run error, exactly like the live channel.
-    #[must_use]
-    pub fn stalled(&self) -> bool {
-        self.stalled
     }
 
     /// The producer-visible transport load: un-acknowledged frames against
@@ -381,17 +358,17 @@ impl<W: WireStream> SocketSink<W> {
         }
     }
 
-    /// Producer-side statistics over shipped frames, in the same shape as
-    /// the in-process channels' so `LogStats` reads uniformly.
-    #[must_use]
-    pub fn stats(&self) -> ChannelStats {
-        self.stats
-    }
-
     /// The peer's name, as used in this sink's error messages.
     #[must_use]
     pub fn endpoint(&self) -> &str {
         &self.endpoint
+    }
+
+    fn torn(&self) -> SocketError {
+        SocketError::Torn {
+            endpoint: self.endpoint.clone(),
+            frames: self.sent,
+        }
     }
 
     fn write_wire(&mut self, bytes: &[u8]) -> Result<(), SocketError> {
@@ -399,18 +376,15 @@ impl<W: WireStream> SocketSink<W> {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
                 self.consumer_gone = true;
-                Err(SocketError::Torn {
-                    endpoint: self.endpoint.clone(),
-                    frames: self.sent,
-                })
+                Err(self.torn())
             }
             Err(e) => Err(SocketError::io(&self.endpoint, e)),
         }
     }
 
-    /// Consumes one credit per byte read. EOF means the peer is gone.
-    fn absorb_credits(&mut self, buf: &[u8], n: usize) {
-        for &b in &buf[..n] {
+    /// Consumes one credit per byte read.
+    fn absorb_credits(&mut self, credits: &[u8]) {
+        for &b in credits {
             debug_assert_eq!(b, CREDIT, "unexpected byte on the credit channel");
             self.acked += 1;
             if let Some(bits) = self.outstanding_bits.pop_front() {
@@ -420,8 +394,8 @@ impl<W: WireStream> SocketSink<W> {
     }
 
     /// Drains any credits already on the wire without blocking, keeping
-    /// the occupancy sample fresh — the ship path calls this before every
-    /// frame, and a run loop may call it between ships so
+    /// the occupancy sample fresh — every credit check calls this, and a
+    /// run loop may call it between ships so
     /// [`load_sample`](Self::load_sample) tracks the consumer's drain.
     ///
     /// # Errors
@@ -438,7 +412,7 @@ impl<W: WireStream> SocketSink<W> {
                     self.consumer_gone = true;
                     break Ok(());
                 }
-                Ok(n) => self.absorb_credits(&buf, n),
+                Ok(n) => self.absorb_credits(&buf[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(()),
                 Err(e) => break Err(SocketError::io(&self.endpoint, e)),
             }
@@ -449,66 +423,8 @@ impl<W: WireStream> SocketSink<W> {
         outcome
     }
 
-    /// Parks until at least one credit is free, honouring the stall
-    /// timeout. Returns `false` when the frame should be discarded
-    /// (consumer gone, or stall latched).
-    fn wait_for_credit(&mut self) -> Result<bool, SocketError> {
-        // The stall clock starts at the first exhausted-window check, so
-        // the fast path never reads the OS clock.
-        let mut stall_start: Option<Instant> = None;
-        while self.sent - self.acked >= u64::from(self.window) {
-            if self.consumer_gone {
-                return Ok(false);
-            }
-            if let Some(limit) = self.stall_timeout {
-                let start = stall_start.get_or_insert_with(Instant::now);
-                if start.elapsed() >= limit {
-                    self.stalled = true;
-                    return Ok(false);
-                }
-            }
-            self.stream
-                .set_read_timeout(Some(CREDIT_POLL))
-                .map_err(|e| SocketError::io(&self.endpoint, e))?;
-            let mut buf = [0u8; 64];
-            match self.stream.read(&mut buf) {
-                Ok(0) => self.consumer_gone = true,
-                Ok(n) => self.absorb_credits(&buf, n),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => {
-                    let err = SocketError::io(&self.endpoint, e);
-                    self.stream.set_read_timeout(None).ok();
-                    return Err(err);
-                }
-            }
-            self.stream
-                .set_read_timeout(None)
-                .map_err(|e| SocketError::io(&self.endpoint, e))?;
-        }
-        Ok(true)
-    }
-
-    /// Ships one sealed frame under the credit window.
-    fn ship(&mut self, frame: &SealedFrame<'_>) -> Result<(), SocketError> {
-        if self.stalled || self.consumer_gone || self.finished {
-            // Mirror the live channel: once the consumer is written off,
-            // discard instead of re-paying the timeout per frame (the
-            // Drop-driven flush included). The first tear already
-            // surfaced as an error.
-            return Ok(());
-        }
-        self.poll_credits()?;
-        if !self.wait_for_credit()? {
-            if self.consumer_gone {
-                return Err(SocketError::Torn {
-                    endpoint: self.endpoint.clone(),
-                    frames: self.sent,
-                });
-            }
-            return Ok(()); // stall latched; driver reads `stalled()`
-        }
+    /// Writes one frame record; the caller holds a credit for it.
+    fn write_frame(&mut self, frame: &SealedFrame<'_>) -> Result<(), SocketError> {
         let mut header = [0u8; FRAME_HEADER_BYTES];
         header[0] = TAG_FRAME;
         header[1..9].copy_from_slice(&frame.sealed_at.to_le_bytes());
@@ -522,17 +438,73 @@ impl<W: WireStream> SocketSink<W> {
         self.sent += 1;
         self.outstanding_bits.push_back(wire_bits);
         self.inflight_bits += wire_bits;
-        self.stats.records += u64::from(frame.records);
-        self.stats.frames += 1;
-        self.stats.wire_bits += wire_bits;
-        self.stats.high_water_bits = self.stats.high_water_bits.max(self.inflight_bits);
         Ok(())
     }
 }
 
+impl<W: WireStream> CreditWindow for SocketSink<W> {
+    fn try_credit(&mut self) -> Result<bool, SinkError> {
+        self.poll_credits()?;
+        if self.consumer_gone {
+            return Err(self.torn().into());
+        }
+        Ok(self.sent - self.acked < u64::from(self.window))
+    }
+
+    /// Blocks on the credit channel for one short read timeout.
+    fn wait(&mut self, _attempt: u32) -> Result<(), SinkError> {
+        let mut buf = [0u8; 64];
+        let read = self
+            .stream
+            .set_read_timeout(Some(CREDIT_POLL))
+            .and_then(|()| self.stream.read(&mut buf));
+        let reset = self.stream.set_read_timeout(None);
+        match read {
+            Ok(0) => self.consumer_gone = true,
+            Ok(n) => self.absorb_credits(&buf[..n]),
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+            }
+            Err(e) => return Err(SocketError::io(&self.endpoint, e).into()),
+        }
+        reset.map_err(|e| SocketError::io(&self.endpoint, e).into())
+    }
+
+    fn consumer_gone(&self) -> bool {
+        self.consumer_gone
+    }
+
+    fn admit(&mut self, frame: Frame) -> Result<u64, SinkError> {
+        self.write_frame(&SealedFrame {
+            bytes: &frame.bytes,
+            records: frame.records,
+            sealed_at: 0,
+        })?;
+        Ok(self.inflight_bits)
+    }
+
+    fn load_sample(&self) -> LoadSample {
+        SocketSink::load_sample(self)
+    }
+
+    fn finish(&mut self, _stats: &ChannelStats) -> Result<(), SinkError> {
+        self.finish_sink()
+    }
+}
+
 impl<W: WireStream> FrameSink for SocketSink<W> {
+    /// Ships one sealed frame, parking without bound while the window is
+    /// full (a [`FrameSender`](crate::FrameSender) bounds the park with its
+    /// stall timeout).
     fn put_frame(&mut self, frame: &SealedFrame<'_>) -> Result<(), SinkError> {
-        self.ship(frame).map_err(Into::into)
+        if self.consumer_gone || self.finished {
+            // The first tear already surfaced as an error.
+            return Ok(());
+        }
+        if park(self, None)? == Park::Admit {
+            self.write_frame(frame)?;
+        }
+        Ok(())
     }
 
     /// Writes the End record and flushes the wire. The connection stays
@@ -776,169 +748,14 @@ pub fn socket_pair(
     Ok((sink, source))
 }
 
-/// Record-level producer over a [`SocketSink`]: owns the compressor, so
-/// its sealed frames are byte-identical to the in-process live channel's
-/// — the same [`FrameEncoder`] over the same record stream. The API
-/// mirrors [`crate::live::FrameSender`], which is what lets the
-/// remote-workers run mode reuse the sharded producer link unchanged.
-pub struct SocketSender<W: WireStream = UnixStream> {
-    encoder: FrameEncoder,
-    sink: SocketSink<W>,
-    /// Optional mirror of every shipped frame into a [`FrameSink`] (the
-    /// flight recorder), exactly like the live channel's tee.
-    tee: ChannelTee,
-    /// First wire error, latched: the push path cannot surface errors
-    /// (it mirrors the infallible channel push), so the driver collects
-    /// it via [`take_error`](Self::take_error) after the run.
-    error: Option<SocketError>,
-}
-
-impl<W: WireStream> SocketSender<W> {
-    /// Wraps `sink` with a fresh encoder.
-    #[must_use]
-    pub fn new(sink: SocketSink<W>, config: FrameConfig) -> Self {
-        SocketSender {
-            encoder: FrameEncoder::new(config),
-            sink,
-            tee: ChannelTee::default(),
-            error: None,
-        }
-    }
-
-    /// Mirrors every subsequently shipped frame into `sink` — the
-    /// flight-recorder hook, identical to the live channel's.
-    pub fn tee_into(&mut self, sink: Box<dyn FrameSink + Send>) {
-        self.tee.install(sink);
-    }
-
-    /// Takes the tee sink back (for finishing), or reports the first
-    /// mirror error if the sink failed mid-run.
-    ///
-    /// # Errors
-    ///
-    /// The first error a mirror write hit.
-    pub fn take_tee(&mut self) -> Result<Option<Box<dyn FrameSink + Send>>, SinkError> {
-        self.tee.take()
-    }
-
-    /// See [`SocketSink::set_stall_timeout`].
-    pub fn set_stall_timeout(&mut self, timeout: Option<Duration>) {
-        self.sink.set_stall_timeout(timeout);
-    }
-
-    /// See [`SocketSink::stalled`].
-    #[must_use]
-    pub fn stalled(&self) -> bool {
-        self.sink.stalled()
-    }
-
-    /// See [`SocketSink::load_sample`].
-    #[must_use]
-    pub fn load_sample(&self) -> LoadSample {
-        self.sink.load_sample()
-    }
-
-    /// See [`SocketSink::poll_credits`]; a broken credit channel is
-    /// latched like a push-path error.
-    pub fn poll_credits(&mut self) {
-        if self.error.is_none() {
-            if let Err(e) = self.sink.poll_credits() {
-                self.error = Some(e);
-            }
-        }
-    }
-
-    /// Sets or clears the degraded-capture mark on subsequently sealed
-    /// frames; callers flush first so the mark is frame-accurate.
-    pub fn set_degraded(&mut self, on: bool) {
-        self.encoder.set_degraded(on);
-    }
-
-    /// Appends one record; when it completes a frame, ships the frame
-    /// over the wire under the credit window.
-    pub fn push(&mut self, record: &EventRecord) {
-        if let Some(frame) = self.encoder.push(record) {
-            self.ship(&frame);
-        }
-    }
-
-    /// Like [`push`](Self::push) with the epoch-end mark (see
-    /// [`crate::live::FrameSender::push_epoch`]).
-    pub fn push_epoch(&mut self, record: &EventRecord, end_epoch: bool) {
-        if let Some(frame) = self.encoder.push_epoch(record, end_epoch) {
-            self.ship(&frame);
-        }
-    }
-
-    /// Seals and ships the open partial frame — call at syscalls for
-    /// containment.
-    pub fn flush(&mut self) {
-        if let Some(frame) = self.encoder.flush() {
-            self.ship(&frame);
-        }
-    }
-
-    /// Producer-side statistics over shipped frames.
-    #[must_use]
-    pub fn stats(&self) -> ChannelStats {
-        self.sink.stats()
-    }
-
-    /// The first wire error the push path hit, if any.
-    pub fn take_error(&mut self) -> Option<SocketError> {
-        self.error.take()
-    }
-
-    fn ship(&mut self, frame: &Frame) {
-        let sealed = SealedFrame {
-            bytes: &frame.bytes,
-            records: frame.records,
-            sealed_at: 0,
-        };
-        self.tee.mirror(&sealed);
-        if self.error.is_some() {
-            return; // wire already torn; drop frames like a gone consumer
-        }
-        // The socket sink tracks payload bits itself only at frame
-        // granularity; fold the encoder's exact payload accounting in so
-        // `LogStats` compression ratios match the in-process channels.
-        if let Err(e) = self.sink.ship(&sealed) {
-            self.error = Some(e);
-            return;
-        }
-        self.sink.stats.payload_bits += frame.payload_bits;
-    }
-
-    /// Finishes the stream: flushes the partial frame, writes the End
-    /// record, and returns the final producer-side statistics.
-    ///
-    /// # Errors
-    ///
-    /// The first wire error the connection hit, including one latched by
-    /// an earlier push.
-    pub fn finish(mut self) -> Result<ChannelStats, SocketError> {
-        self.flush();
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.sink
-            .finish_sink()
-            .map_err(|e| match e.downcast::<SocketError>() {
-                Ok(sock) => *sock,
-                Err(other) => SocketError::Io {
-                    endpoint: self.sink.endpoint.clone(),
-                    source: io::Error::other(other.to_string()),
-                },
-            })?;
-        Ok(self.sink.stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lba_compress::{FrameDecoder, CODEC_VERSION};
+    use crate::FrameSender;
+    use lba_compress::{FrameConfig, FrameDecoder, FrameEncoder, CODEC_VERSION};
+    use lba_record::EventRecord;
     use std::thread;
+    use std::time::Instant;
 
     fn record(i: u64) -> EventRecord {
         EventRecord::load(0x1000 + i * 8, 0, None, Some(1), 0x10_0000 + i * 8, 8)
@@ -952,7 +769,7 @@ mod tests {
         assert_eq!(source.codec_version(), CODEC_VERSION);
         assert_eq!(source.window(), 8);
 
-        let mut tx = SocketSender::new(sink, config);
+        let mut tx = FrameSender::new(sink, config);
         let mut reference = FrameEncoder::new(config);
         let mut expected: Vec<Vec<u8>> = Vec::new();
         for i in 0..1000 {
@@ -990,44 +807,13 @@ mod tests {
     }
 
     #[test]
-    fn credit_window_bounds_inflight_and_stall_latches_instead_of_hanging() {
-        let config = FrameConfig {
-            records_per_frame: 4,
-            ..FrameConfig::default()
-        };
-        let (mut sink, _source) = socket_pair(0, 2).unwrap();
-        sink.set_stall_timeout(Some(Duration::from_millis(50)));
-        let mut tx = SocketSender::new(sink, config);
-        // The consumer never drains, so never returns a credit: the first
-        // two frames ship on the window, the third must park and then
-        // latch the stall instead of hanging.
-        let start = Instant::now();
-        for i in 0..64 {
-            tx.push(&record(i));
-        }
-        assert!(tx.stalled(), "exhausted window with no credits must latch");
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "stall must latch once, not re-pay the timeout per frame"
-        );
-        let sample = tx.load_sample();
-        assert_eq!(
-            (sample.inflight, sample.capacity),
-            (2, 2),
-            "occupancy must report the window exhausted"
-        );
-        let stats = tx.stats();
-        assert_eq!(stats.frames, 2, "only windowed frames may ship");
-    }
-
-    #[test]
     fn consumer_disconnect_is_a_descriptive_error_not_a_hang() {
         let config = FrameConfig {
             records_per_frame: 4,
             ..FrameConfig::default()
         };
         let (sink, source) = socket_pair(0, 2).unwrap();
-        let mut tx = SocketSender::new(sink, config);
+        let mut tx = FrameSender::new(sink, config);
         drop(source); // worker dies mid-run
         let start = Instant::now();
         for i in 0..64 {
@@ -1038,7 +824,8 @@ mod tests {
             "a dead consumer must not hang the producer"
         );
         let err = tx.finish().unwrap_err();
-        assert!(matches!(err, SocketError::Torn { .. }), "got: {err}");
+        let err = err.downcast::<SocketError>().expect("a socket error");
+        assert!(matches!(*err, SocketError::Torn { .. }), "got: {err}");
         let msg = err.to_string();
         assert!(msg.contains("tore mid-stream"), "got: {msg}");
     }
@@ -1051,7 +838,7 @@ mod tests {
         };
         // Strict: the consumer reports the tear with the salvageable count.
         let (sink, mut source) = socket_pair(0, 16).unwrap();
-        let mut tx = SocketSender::new(sink, config);
+        let mut tx = FrameSender::new(sink, config);
         for i in 0..12 {
             tx.push(&record(i)); // 3 complete frames
         }
@@ -1059,7 +846,7 @@ mod tests {
         let mut half = [0u8; FRAME_HEADER_BYTES];
         half[0] = TAG_FRAME;
         half[13..17].copy_from_slice(&512u32.to_le_bytes());
-        tx.sink.write_wire(&half).unwrap();
+        tx.window.write_wire(&half).unwrap();
         drop(tx); // producer dies without the End record
         for _ in 0..3 {
             assert!(source.next_frame_bytes().unwrap().is_some());
@@ -1074,14 +861,14 @@ mod tests {
         // Salvage: the same tear ends the stream cleanly after the prefix.
         let (sink, mut source) = socket_pair(0, 16).unwrap();
         source.set_salvage(true);
-        let mut tx = SocketSender::new(sink, config);
+        let mut tx = FrameSender::new(sink, config);
         for i in 0..12 {
             tx.push(&record(i));
         }
         let mut half = [0u8; FRAME_HEADER_BYTES];
         half[0] = TAG_FRAME;
         half[13..17].copy_from_slice(&512u32.to_le_bytes());
-        tx.sink.write_wire(&half).unwrap();
+        tx.window.write_wire(&half).unwrap();
         drop(tx);
         let mut salvaged = 0;
         while let Some(_bytes) = source.next_frame_bytes().unwrap() {
@@ -1157,7 +944,7 @@ mod tests {
             ..FrameConfig::default()
         };
         let (sink, mut source) = socket_pair(0, 4).unwrap();
-        let mut tx = SocketSender::new(sink, config);
+        let mut tx = FrameSender::new(sink, config);
         for i in 0..8 {
             tx.push(&record(i)); // 2 frames, window 4
         }
@@ -1174,7 +961,7 @@ mod tests {
         let mut inflight = tx.load_sample().inflight;
         while inflight > 1 && Instant::now() < deadline {
             thread::yield_now();
-            tx.poll_credits();
+            tx.window.poll_credits().unwrap();
             inflight = tx.load_sample().inflight;
         }
         assert!(

@@ -32,6 +32,8 @@
 //! assert!(Benchmark::Water.is_multithreaded());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bc;
 pub mod bugs;
 mod gnuplot;

@@ -28,10 +28,10 @@
 //!  │  folds counts  │                            │  TaintCheck ·  │
 //!  │  into Repeat)  │                            │  LockSet ·     │
 //!  │       │        │                            │  MemProfile    │
-//!  │  FrameEncoder ─┼─▶ LogChannel: cache-line ──┼─▶ (each one    │
-//!  │       │        │   frames through the       │  declares its  │
-//!  │  shard_of ─────┼─▶ hierarchy (lba-transport,│  capture-dedup │
-//!  │  fan-out: one  │   modelled or live SPSC;   │  soundness     │
+//!  │  FrameEncoder ─┼─▶ modelled LogChannel, or ─┼─▶ (each one    │
+//!  │       │        │   one FrameSender per live │  declares its  │
+//!  │  shard_of ─────┼─▶ stream over a credit     │  capture-dedup │
+//!  │  fan-out: one  │   window (lba-transport;   │  soundness     │
 //!  │  stream/shard  │   sharded: N streams, one  │  contract via  │
 //!  │  EpochRouter ──┼─▶ predictor bank + decoder │  idempotency())│
 //!  │  whole-epoch   │   thread per shard; epoch  │                │
@@ -95,7 +95,7 @@
 //! | `lba-cache`      | set-associative caches and the two-core memory system |
 //! | `lba-record`     | the typed event-record vocabulary the log carries (incl. `Repeat` fold summaries) + the segmented `lbas/1` flight-recorder stream format (rotation, retention, End records) |
 //! | `lba-compress`   | value-prediction log compression + chunked frame codec (< 1 byte/instr on the wire), `CODEC_VERSION` stamped into recordings |
-//! | `lba-transport`  | `LogChannel` trait: framed buffer timing model + live cross-thread frame channel, frame-granular `pop_frame`, `shard_of` routing and per-shard channel fan-out, `EpochRouter` time-slicing with epoch-end marks in the frame header; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the `socket` module speaking `lbas/1` over Unix-domain sockets (TCP-ready via `WireStream`) with an explicit credit window so back-pressure survives the wire; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the seeded `FaultInjector`/`FaultSink` fault-injection wrappers |
+//! | `lba-transport`  | `LogChannel` trait: framed buffer timing model with frame-granular `pop_frame`; one `FrameSender` (encoder, recording tee, statistics, stall timeout) over a `CreditWindow` for every real transport — the live cross-thread `FrameQueue` and the socket sink; `shard_of` routing and per-shard channel fan-out, `EpochRouter` time-slicing with epoch-end marks in the frame header; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the `socket` module speaking `lbas/1` over Unix-domain sockets (TCP-ready via `WireStream`) with an explicit credit window so back-pressure survives the wire; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the seeded `FaultInjector`/`FaultSink` fault-injection wrappers |
 //! | `lba-lifeguard`  | dispatch engine (batch + per-record), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, the `EpochSummary`/`EpochSummarizer`/`EpochLifeguard` trait triple behind the epoch-parallel modes, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
 //! | `lba-lifeguards` | the paper's four lifeguards + `TaintCheck`'s symbolic epoch summaries (`taint_summary`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
@@ -206,6 +206,8 @@
 //! assert!(mon.slowdown_vs(base) > 1.0);
 //! # Ok::<(), lba::LbaError>(())
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use lba_core::{
     epoch_parallel, experiment, live_parallel, parallel, pipeline, remote, replay, report, runner,
