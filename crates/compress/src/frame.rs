@@ -791,4 +791,21 @@ mod tests {
         ));
         assert!(out.capacity() <= (FRAME_LINE_BYTES - FRAME_HEADER_BYTES) * 8);
     }
+
+    #[test]
+    fn all_ones_payload_is_a_codec_error_not_a_panic() {
+        // Regression: a payload whose header bits claim cached statics
+        // for a pc the stream never described hit an `expect` in the
+        // decompressor.
+        let mut bytes = vec![0xFF; FRAME_LINE_BYTES];
+        bytes[0..4].copy_from_slice(&4u32.to_le_bytes());
+        let payload_len = (FRAME_LINE_BYTES - FRAME_HEADER_BYTES) as u32;
+        bytes[4..8].copy_from_slice(&payload_len.to_le_bytes());
+        let mut dec = FrameDecoder::new(FrameConfig::default());
+        let mut out = Vec::new();
+        assert!(matches!(
+            dec.decode_frame(&bytes, &mut out),
+            Err(FrameDecodeError::Codec(DecodeStreamError::UnknownPc(_)))
+        ));
+    }
 }

@@ -39,6 +39,19 @@
 //! against `run_lba`'s lifeguard-bound totals. The passthrough producer
 //! ships every retired record: epoch summaries are computed over the full
 //! stream, so no capture filter or adaptive controller may drop records.
+//!
+//! # Modeled speedup is not wall-clock speedup
+//!
+//! The modeled mode's headline — 4 workers finish gzip in 3.5× fewer
+//! cycles than sequential TaintCheck (the `taint-parallel` series of
+//! `BENCH_pipeline.json`) — is a **modeled-only** figure: it counts the
+//! handler charges of idealised cores and ignores the host cost of
+//! building and resolving the symbolic summaries. On wall clock (gzip,
+//! 2-vCPU host, best of 5), sequential `run_lba` TaintCheck runs at
+//! about 15.8M records/s, the modeled epoch mode with one worker at
+//! about 8.6M/s, and [`run_live_epoch_parallel`] with two workers at
+//! about 7.1M/s: summarizing costs about 3.7× sequential dispatch per
+//! record, so two workers do not yet beat one sequential lifeguard.
 
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
@@ -55,7 +68,7 @@ use lba_transport::live::FrameReceiver;
 use lba_transport::{ChannelStats, LogChannel, ModeledFrameChannel};
 
 use crate::config::SystemConfig;
-use crate::fanout::{finish_senders, live_senders, FanOutLink};
+use crate::fanout::{finish_senders, join_thread, live_senders, FanOutLink};
 use crate::pipeline::{
     ConsumerTopology, EpochRouted, Producer, ProducerFinish, ProducerLink, Route,
 };
@@ -403,14 +416,14 @@ pub fn run_epoch_parallel<E: EpochLifeguard>(
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the machine thread, and
+/// Propagates any [`RunError`] from the machine thread,
 /// [`RunError::ChannelStalled`] when a worker stopped draining for longer
-/// than the stall timeout.
+/// than the stall timeout, and [`RunError::WorkerPanicked`] when a worker
+/// or the merge thread panicked (a codec or lifeguard bug).
 ///
 /// # Panics
 ///
-/// Panics if `workers` or `config.log.epoch_records` is zero, or if a
-/// worker or merge thread panics (a codec or lifeguard bug).
+/// Panics if `workers` or `config.log.epoch_records` is zero.
 pub fn run_live_epoch_parallel<E>(
     program: &Program,
     master: &mut E,
@@ -513,10 +526,16 @@ where
             finish_senders(link.senders).map(|worker_log| (finish, worker_log))
         })();
 
-        for consumer in consumers {
-            consumer.join().expect("worker thread must not panic");
-        }
-        let (findings, epochs) = merge.join().expect("merge thread must not panic");
+        // Join every thread before returning (the scope re-raises the
+        // panic of any thread left unjoined). A panic is a bug no
+        // producer error explains, so it wins.
+        let workers_done: Vec<_> = consumers
+            .into_iter()
+            .map(|consumer| join_thread(consumer, "epoch worker"))
+            .collect();
+        let merged = join_thread(merge, "epoch merge");
+        workers_done.into_iter().collect::<Result<(), _>>()?;
+        let (findings, epochs) = merged?;
         let (finish, worker_log) = produced?;
         Ok(LiveEpochParallelReport {
             program: program.name().to_string(),
@@ -737,6 +756,71 @@ mod tests {
             start.elapsed() < std::time::Duration::from_secs(30),
             "the stall must latch once, not hang"
         );
+    }
+
+    /// An epoch lifeguard whose summarizer panics on its first record.
+    struct Faulty;
+
+    struct FaultySummary;
+
+    impl lba_lifeguard::EpochSummary for FaultySummary {
+        fn records(&self) -> u64 {
+            0
+        }
+    }
+
+    impl lba_lifeguard::Lifeguard for Faulty {
+        fn name(&self) -> &'static str {
+            "faulty"
+        }
+
+        fn subscriptions(&self) -> lba_record::EventMask {
+            lba_record::EventMask::ALL
+        }
+
+        fn on_event(&mut self, _: &EventRecord, _: &mut HandlerCtx<'_>) {
+            panic!("summarizer fault");
+        }
+    }
+
+    impl EpochSummarizer for Faulty {
+        type Summary = FaultySummary;
+
+        fn finish_epoch(&mut self) -> FaultySummary {
+            FaultySummary
+        }
+
+        fn is_open(&self) -> bool {
+            false
+        }
+    }
+
+    impl EpochLifeguard for Faulty {
+        type Summarizer = Faulty;
+
+        fn summarizer(&self) -> Faulty {
+            Faulty
+        }
+
+        fn absorb(&mut self, _: FaultySummary, _: &mut HandlerCtx<'_>) {}
+    }
+
+    #[test]
+    fn panicking_epoch_worker_is_a_run_error_not_a_crash() {
+        let program = bugs::exploit();
+        for workers in [1, 2] {
+            let err =
+                run_live_epoch_parallel(&program, &mut Faulty, workers, &SystemConfig::default())
+                    .unwrap_err();
+            assert_eq!(
+                err,
+                RunError::WorkerPanicked {
+                    thread: "epoch worker",
+                    message: "summarizer fault".into(),
+                },
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]

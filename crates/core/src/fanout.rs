@@ -7,9 +7,11 @@
 //! `run_live_epoch_parallel` differ only in their credit window (the
 //! in-process queue or the socket) and their topology; the recording tee,
 //! the stall timeout, the drain drag and the end-of-run checks are applied
-//! here, once.
+//! here, once, and so is the join that turns a panicking pipeline thread
+//! into a [`RunError`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::ScopedJoinHandle;
 
 use lba_cpu::RunError;
 use lba_record::EventRecord;
@@ -165,4 +167,21 @@ pub(crate) fn finish_senders<W: CreditWindow, E: TailError>(
             tx.finish().map_err(E::from_sink)
         })
         .collect()
+}
+
+/// Joins a pipeline thread, turning a panic into
+/// [`RunError::WorkerPanicked`] so one faulty consumer fails its run
+/// instead of crashing the process.
+pub(crate) fn join_thread<T>(
+    handle: ScopedJoinHandle<'_, T>,
+    thread: &'static str,
+) -> Result<T, RunError> {
+    handle.join().map_err(|payload| RunError::WorkerPanicked {
+        thread,
+        message: payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default(),
+    })
 }

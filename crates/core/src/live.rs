@@ -25,7 +25,7 @@ use lba_lifeguard::{DegradationRequest, DispatchEngine, Lifeguard};
 use lba_transport::FrameSender;
 
 use crate::config::SystemConfig;
-use crate::fanout::{finish_senders, live_senders};
+use crate::fanout::{finish_senders, join_thread, live_senders};
 use crate::pipeline::{Producer, ProducerFinish, ProducerLink};
 use crate::report::{LiveReport, LogStats, PipelineReport};
 
@@ -101,7 +101,8 @@ impl ProducerLink for LiveLink<'_> {
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the machine thread.
+/// Propagates any [`RunError`] from the machine thread, and
+/// [`RunError::WorkerPanicked`] when it panicked.
 pub fn run_live(
     program: &Program,
     lifeguard: &mut dyn Lifeguard,
@@ -175,7 +176,7 @@ pub fn run_live(
         }
         engine.finish(lifeguard, &mut mem, 1, &mut findings);
 
-        let finish = producer.join().expect("producer thread must not panic")?;
+        let finish = join_thread(producer, "producer")??;
         let stats = rx.stats();
         Ok(LiveReport {
             program: program.name().to_string(),

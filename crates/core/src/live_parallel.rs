@@ -37,7 +37,7 @@ use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
 use lba_transport::ChannelStats;
 
 use crate::config::SystemConfig;
-use crate::fanout::{finish_senders, live_senders, FanOutLink};
+use crate::fanout::{finish_senders, join_thread, live_senders, FanOutLink};
 use crate::pipeline::{Producer, ProducerFinish, ShardedByLine};
 use crate::report::{LiveParallelReport, LogStats, PipelineReport};
 
@@ -74,12 +74,13 @@ const LG_CORE: usize = 1;
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the machine thread.
+/// Propagates any [`RunError`] from the machine thread, and
+/// [`RunError::WorkerPanicked`] when a consumer thread panicked (a codec
+/// or lifeguard bug, not an I/O condition).
 ///
 /// # Panics
 ///
-/// Panics if `shards` is zero, or if a consumer thread panics (a codec or
-/// lifeguard bug, not an I/O condition).
+/// Panics if `shards` is zero.
 pub fn run_live_parallel(
     program: &Program,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
@@ -165,10 +166,13 @@ pub fn run_live_parallel(
             finish_senders(link.senders).map(|shard_log| (finish, shard_log))
         })();
 
-        let shard_findings: Vec<_> = consumers
+        // Join every consumer before returning (the scope re-raises the
+        // panic of any thread left unjoined).
+        let joined: Vec<_> = consumers
             .into_iter()
-            .map(|handle| handle.join().expect("consumer thread must not panic"))
+            .map(|handle| join_thread(handle, "consumer"))
             .collect();
+        let shard_findings = joined.into_iter().collect::<Result<Vec<_>, _>>()?;
         let findings = crate::parallel::merge_shard_findings(shard_findings);
         let (finish, shard_log) = produced?;
         Ok(LiveParallelReport {

@@ -47,7 +47,7 @@ use lba_transport::{ChannelStats, FrameSource};
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
-use crate::fanout::{drain_drag, finish_senders, open_senders, FanOutLink};
+use crate::fanout::{drain_drag, finish_senders, join_thread, open_senders, FanOutLink};
 use crate::pipeline::{Producer, ProducerFinish, ShardedByLine};
 use crate::replay::ReplayError;
 use crate::report::{LogStats, PipelineReport, RemoteReport};
@@ -75,15 +75,17 @@ const LG_CORE: usize = 1;
 ///
 /// # Errors
 ///
-/// [`LbaError::Run`] for machine/config failures and a stalled credit
-/// window ([`RunError::ChannelStalled`](lba_cpu::RunError::ChannelStalled));
+/// [`LbaError::Run`] for machine/config failures, a stalled credit
+/// window ([`RunError::ChannelStalled`](lba_cpu::RunError::ChannelStalled))
+/// and a panicked worker thread
+/// ([`RunError::WorkerPanicked`](lba_cpu::RunError::WorkerPanicked));
 /// [`LbaError::Socket`] when a wire tears (a worker died mid-run);
 /// [`LbaError::Replay`] when a frame that crossed the wire intact fails to
 /// decode.
 ///
 /// # Panics
 ///
-/// Panics if `workers` is zero, or if a worker thread panics.
+/// Panics if `workers` is zero.
 pub fn run_remote(
     program: &Program,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
@@ -135,17 +137,24 @@ pub fn run_remote(
             finish_senders(link.senders).map(|shard_log| (finish, shard_log))
         })();
 
+        // Join every worker before returning (the scope re-raises the
+        // panic of any thread left unjoined). A panic is a bug no producer
+        // error explains, so it wins; a producer-side error explains any
+        // worker-side tear, so it wins over those.
+        let joined: Vec<_> = consumers
+            .into_iter()
+            .map(|handle| join_thread(handle, "worker"))
+            .collect();
         let mut shard_findings = Vec::with_capacity(workers);
         let mut worker_err: Option<LbaError> = None;
-        for handle in consumers {
-            match handle.join().expect("worker thread must not panic") {
+        for outcome in joined.into_iter().collect::<Result<Vec<_>, _>>()? {
+            match outcome {
                 Ok(findings) => shard_findings.push(findings),
                 Err(e) => {
                     worker_err.get_or_insert(e);
                 }
             }
         }
-        // A producer-side error explains any worker-side tear, so it wins.
         let (finish, shard_log) = produced?;
         if let Some(e) = worker_err {
             return Err(e);

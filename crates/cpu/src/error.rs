@@ -56,6 +56,14 @@ pub enum RunError {
         /// What the stream layer reported.
         detail: String,
     },
+    /// A pipeline thread (a lifeguard worker, the merge thread, or the
+    /// producer) panicked; the run reports it instead of unwinding.
+    WorkerPanicked {
+        /// Which thread panicked.
+        thread: &'static str,
+        /// The panic message, when the payload was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -89,6 +97,9 @@ impl fmt::Display for RunError {
             ),
             RunError::Recording { detail } => {
                 write!(f, "flight recording failed: {detail}")
+            }
+            RunError::WorkerPanicked { thread, message } => {
+                write!(f, "{thread} thread panicked: {message}")
             }
         }
     }

@@ -46,8 +46,6 @@ pub struct ShadowMemory<T> {
     dir: PageDirectory,
     /// Page arena; directory entries index into it and never move.
     pages: Vec<Box<[T]>>,
-    /// Page number of each arena slot (for [`pages`](Self::pages)).
-    numbers: Vec<u64>,
     /// Non-default cell count per arena slot — the
     /// [`range_any_nonzero`](Self::range_any_nonzero) fast path answers
     /// full-page chunks from this counter without touching the page.
@@ -55,13 +53,15 @@ pub struct ShadowMemory<T> {
 }
 
 impl<T: Copy + Default + PartialEq> ShadowMemory<T> {
+    /// Cells per shadow page; range operations work page-at-a-time.
+    pub const PAGE_CELLS: u64 = PAGE_CELLS as u64;
+
     /// Creates an empty shadow memory.
     #[must_use]
     pub fn new() -> Self {
         ShadowMemory {
             dir: PageDirectory::new(),
             pages: Vec::new(),
-            numbers: Vec::new(),
             nonzero: Vec::new(),
         }
     }
@@ -81,7 +81,6 @@ impl<T: Copy + Default + PartialEq> ShadowMemory<T> {
                 let idx = u32::try_from(self.pages.len()).expect("fewer than 2^32 shadow pages");
                 self.pages
                     .push(vec![T::default(); PAGE_CELLS].into_boxed_slice());
-                self.numbers.push(index >> PAGE_SHIFT);
                 self.nonzero.push(0);
                 self.dir.insert(index >> PAGE_SHIFT, idx);
                 idx
@@ -210,15 +209,16 @@ impl<T: Copy + Default + PartialEq> ShadowMemory<T> {
         false
     }
 
-    /// Iterates the resident pages as `(first granule index, cells)`
-    /// pairs, in allocation order (deterministic for a deterministic
-    /// write sequence). The epoch-parallel stitch walks a summary's
-    /// touched shadow ranges through this.
-    pub fn pages(&self) -> impl Iterator<Item = (u64, &[T])> + '_ {
-        self.numbers
-            .iter()
-            .zip(self.pages.iter())
-            .map(|(number, page)| (number << PAGE_SHIFT, &page[..]))
+    /// The `len` cells starting at `start` as one slice, when they lie
+    /// within a single resident page; `None` otherwise.
+    #[must_use]
+    pub fn cells(&self, start: u64, len: u64) -> Option<&[T]> {
+        let offset = (start & PAGE_MASK) as usize;
+        if offset as u64 + len > PAGE_CELLS as u64 {
+            return None;
+        }
+        self.page_of(start)
+            .map(|page| &page[offset..offset + len as usize])
     }
 
     /// Number of resident shadow pages (memory-footprint introspection).
@@ -467,19 +467,14 @@ mod tests {
     }
 
     #[test]
-    fn pages_iterates_resident_pages_with_bases() {
+    fn cells_borrow_within_one_resident_page() {
         let mut s: ShadowMemory<u8> = ShadowMemory::new();
-        s.set(5, 1);
-        s.set(3 * PAGE_CELLS as u64 + 9, 2);
-        let pages: Vec<(u64, Vec<u8>)> = s
-            .pages()
-            .map(|(base, cells)| (base, cells.to_vec()))
-            .collect();
-        assert_eq!(pages.len(), 2);
-        assert_eq!(pages[0].0, 0);
-        assert_eq!(pages[0].1[5], 1);
-        assert_eq!(pages[1].0, 3 * PAGE_CELLS as u64);
-        assert_eq!(pages[1].1[9], 2);
+        assert_eq!(s.cells(5, 4), None, "absent page");
+        s.set_range(4, 3, 7);
+        assert_eq!(s.cells(3, 5), Some(&[0, 7, 7, 7, 0][..]));
+        let last = PAGE_CELLS as u64 - 2;
+        assert_eq!(s.cells(last, 2), Some(&[0, 0][..]));
+        assert_eq!(s.cells(last, 3), None, "crosses into the next page");
     }
 
     #[test]

@@ -97,5 +97,5 @@ mod taintcheck;
 pub use addrcheck::{AddrCheck, AllocSettled};
 pub use lockset::{LockSet, LockSetConfig};
 pub use memprofile::{MemProfile, MemoryProfile};
-pub use taint_summary::{SymTaint, TaintDep, TaintSummarizer, TaintSummary};
+pub use taint_summary::{TaintSummarizer, TaintSummary};
 pub use taintcheck::TaintCheck;

@@ -5,11 +5,30 @@
 //! ordinary dispatch path and computes, instead of concrete taint, a
 //! *transfer function*: for every register it writes and every shadow
 //! byte it touches, an out-state expressed over the unknown epoch-entry
-//! state ([`SymTaint`]), plus the epoch's *conditional findings* —
-//! exploit reports whose guard references unknown inputs. The merge
-//! thread resolves everything against the concrete entry state
-//! (`TaintCheck::absorb` in `taintcheck.rs`), reproducing the sequential
-//! run's findings and state byte for byte.
+//! state, plus the epoch's *conditional findings* — exploit reports whose
+//! guard references unknown inputs. The merge thread resolves everything
+//! against the concrete entry state (`TaintCheck::absorb` in
+//! `taintcheck.rs`), reproducing the sequential run's findings and state
+//! byte for byte.
+//!
+//! # The epoch DAG
+//!
+//! Every symbolic value is a `u32` id into a per-epoch, hash-consed DAG
+//! of `Node`s: the constants *clean* and *tainted*, the epoch-entry
+//! taint of one register (`Reg`) or of any byte of one shadow range
+//! (`Mem`), and `Or(a, b)` over two earlier ids. A node's operands always
+//! precede it, so the merge thread resolves the whole DAG in one pass in
+//! id order, each `Or` costing one lookup of two earlier results.
+//!
+//! The summarizer keeps registers as a dense per-thread `[u32; 16]`
+//! (0: not written this epoch, i.e. still the entry value) and shadow
+//! bytes as a [`ShadowMemory<u32>`] of ids (0: untouched). OR is O(1): it
+//! short-circuits *clean*, *tainted* and `a == b`, absorbs an operand
+//! already directly under the other, and otherwise makes one memo lookup.
+//! The shadow memory lives across epochs; the summarizer tracks the span
+//! it dirtied in each page, in first-touch order, and
+//! [`finish_epoch`](EpochSummarizer::finish_epoch) walks only those spans
+//! to emit the epoch's writes as `(addr, len, id)` runs and clear them.
 //!
 //! # Why a disjunction lattice suffices
 //!
@@ -17,14 +36,16 @@
 //! destination (`taint(out) = taint(in1) | taint(in2)`, loads OR the
 //! loaded bytes, stores copy the source register). There is no negation
 //! — an operation either *clears* (constant out-state) or *ORs
-//! unknowns*. Every symbolic value is therefore exactly a disjunction
+//! unknowns*. Every DAG node therefore denotes a disjunction
 //! `definite ∨ dep₁ ∨ dep₂ ∨ …` over epoch-entry registers and
 //! epoch-entry shadow ranges, saturating to the constant *tainted* the
 //! moment any definite source joins. Composition (substituting one
 //! epoch's out-state into the next epoch's deps) and concretization
 //! (evaluating deps against concrete entry state) both distribute over
 //! the disjunction, which is the whole soundness argument:
-//! compose-then-concretize ≡ concretize-then-run ≡ sequential.
+//! compose-then-concretize ≡ concretize-then-run ≡ sequential. Sharing
+//! subterms in a DAG changes how the disjunction is stored, not what it
+//! denotes.
 //!
 //! The one construct that is *not* a disjunction — TaintCheck's syscall
 //! check reports the **first** tainted register of `r1..r3` — is kept
@@ -32,108 +53,49 @@
 //! the merge thread picks the first that fires, mirroring the
 //! sequential `(1..=3).find(..)` exactly.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use lba_lifeguard::{
     EpochSummarizer, EpochSummary, FindingKind, HandlerCtx, IdempotencyClass, Lifeguard,
     ShadowMemory,
 };
+use lba_mem::PageDirectory;
 use lba_record::{EventKind, EventMask, EventRecord};
 
 use crate::taintcheck::TaintCheck;
 
-/// One unknown the symbolic value may depend on: a register's or a
-/// shadow range's taint at epoch entry.
+/// Reserved id: a register or shadow cell not written this epoch.
+const UNWRITTEN: u32 = 0;
+/// The id of the constant *clean* value.
+const CLEAN: u32 = 1;
+/// The id of the constant *tainted* value.
+const TAINTED: u32 = 2;
+
+/// Dirty spans are tracked per shadow page.
+const PAGE_CELLS: u64 = ShadowMemory::<u32>::PAGE_CELLS;
+
+/// One node of an epoch's taint DAG; operands of `Or` are earlier ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TaintDep {
-    /// Epoch-entry taint of `reg` on thread `tid`.
-    Reg {
-        /// Thread id.
-        tid: u8,
-        /// Register number (masked to the 16-register file).
-        reg: u8,
-    },
+pub(crate) enum Node {
+    /// Definitely clean (also fills the reserved id 0).
+    Clean,
+    /// Definitely tainted.
+    Tainted,
+    /// Epoch-entry taint of register `reg` on thread `tid`.
+    Reg { tid: u8, reg: u8 },
     /// Epoch-entry taint of any byte in `[addr, addr + len)`.
-    Mem {
-        /// First application byte address.
-        addr: u64,
-        /// Bytes covered.
-        len: u64,
-    },
+    Mem { addr: u64, len: u64 },
+    /// The disjunction of two earlier nodes.
+    Or(u32, u32),
 }
 
-/// A symbolic taint value: `definite ∨ (deps[0] ∨ deps[1] ∨ …)` over
-/// epoch-entry state. `definite` saturates the disjunction (deps are
-/// dropped); an empty, non-definite value is *definitely clean*.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct SymTaint {
-    pub(crate) definite: bool,
-    pub(crate) deps: Vec<TaintDep>,
-}
-
-impl SymTaint {
-    /// The constant *clean* value.
-    #[must_use]
-    pub fn clean() -> Self {
-        SymTaint::default()
-    }
-
-    /// The constant *tainted* value.
-    #[must_use]
-    pub fn tainted() -> Self {
-        SymTaint {
-            definite: true,
-            deps: Vec::new(),
-        }
-    }
-
-    /// The identity value of one epoch-entry register.
-    #[must_use]
-    pub fn reg(tid: u8, reg: u8) -> Self {
-        SymTaint {
-            definite: false,
-            deps: vec![TaintDep::Reg {
-                tid,
-                reg: reg & 0xf,
-            }],
-        }
-    }
-
-    /// Whether this value is the constant *clean* (no report, no write
-    /// of taint can ever come from it).
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        !self.definite && self.deps.is_empty()
-    }
-
-    /// Whether this value is the constant *tainted*.
-    #[must_use]
-    pub fn is_definite(&self) -> bool {
-        self.definite
-    }
-
-    /// ORs `other` into `self`, saturating on definite taint.
-    pub fn or_with(&mut self, other: &SymTaint) {
-        if self.definite {
-            return;
-        }
-        if other.definite {
-            self.definite = true;
-            self.deps.clear();
-            return;
-        }
-        for dep in &other.deps {
-            if !self.deps.contains(dep) {
-                self.deps.push(*dep);
-            }
-        }
-    }
-}
+/// The DAG every epoch starts from: reserved id 0, then the constants.
+const ROOTS: [Node; 3] = [Node::Clean, Node::Clean, Node::Tainted];
 
 /// A finding whose guard references unknown epoch-entry state; the merge
-/// thread evaluates the guard(s) against the concrete entry state and
+/// thread evaluates the guard id(s) against the concrete entry state and
 /// reports through the master's dedup, in program order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PendingFinding {
     /// An indirect control transfer through a possibly tainted register.
     Jump {
@@ -143,8 +105,8 @@ pub enum PendingFinding {
         tid: u8,
         /// Jump target (diagnostic).
         addr: u64,
-        /// Taint of the jump-target register at this point.
-        guard: SymTaint,
+        /// Taint id of the jump-target register at this point.
+        guard: u32,
     },
     /// A syscall with possibly tainted argument registers. The report
     /// names the *first* tainted register of `r1..r3`, so all three
@@ -158,23 +120,25 @@ pub enum PendingFinding {
         addr: u64,
         /// Syscall number (diagnostic).
         size: u32,
-        /// Taint of argument registers r1, r2, r3 at this point.
-        guards: [SymTaint; 3],
+        /// Taint ids of argument registers r1, r2, r3 at this point.
+        guards: [u32; 3],
     },
 }
 
 /// The symbolic transfer function of one epoch of TaintCheck's stream.
 #[derive(Debug)]
 pub struct TaintSummary {
-    /// Out-state of every register written this epoch (BTreeMap: the
-    /// stitch applies these in deterministic order). Registers absent
-    /// here pass through unchanged.
-    pub(crate) reg_out: BTreeMap<(u8, u8), SymTaint>,
-    /// Out-state of every shadow byte written this epoch, as interned
-    /// value ids: cell 0 = untouched (pass-through), id `n` = `values[n-1]`.
-    pub(crate) mem_out: ShadowMemory<u32>,
-    /// The interned symbolic values `mem_out` references.
-    pub(crate) values: Vec<SymTaint>,
+    /// The epoch's DAG, indexed by id.
+    pub(crate) nodes: Vec<Node>,
+    /// Out-state id of every register written this epoch, in
+    /// `(tid, reg)` order. Registers absent here pass through unchanged.
+    pub(crate) reg_out: Vec<(u8, u8, u32)>,
+    /// The epoch's final shadow writes as `(addr, len, id)` runs of equal
+    /// id, per dirtied page in first-touch order, ascending within a page.
+    pub(crate) writes: Vec<(u64, u32, u32)>,
+    /// Distinct ids stored to shadow memory this epoch (the stitch's
+    /// modeled per-value resolve charge).
+    pub(crate) stored_values: u32,
     /// Conditional findings, in program order.
     pub(crate) findings: Vec<PendingFinding>,
     /// Input bytes marked tainted this epoch (`recv`).
@@ -189,16 +153,36 @@ impl EpochSummary for TaintSummary {
     }
 }
 
+/// The span `[lo, hi)` of one shadow page written this epoch.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    page: u64,
+    lo: u32,
+    hi: u32,
+}
+
 /// Worker-side TaintCheck: same subscriptions, same handler costs, but
 /// the state it builds is the symbolic [`TaintSummary`] of the records
 /// seen since the last [`finish_epoch`](EpochSummarizer::finish_epoch).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TaintSummarizer {
-    regs: BTreeMap<(u8, u8), SymTaint>,
+    nodes: Vec<Node>,
+    /// Hash-consing table over `nodes` (`Reg`, `Mem` and `Or` nodes).
+    memo: HashMap<Node, u32>,
+    /// Whether each id was stored to shadow memory this epoch.
+    stored: Vec<bool>,
+    stored_values: u32,
+    /// Per-thread register ids; `UNWRITTEN` reads as the entry value.
+    regs: Vec<[u32; 16]>,
+    /// Per-thread ids of the `Reg` entry nodes made so far this epoch.
+    entry: Vec<[u32; 16]>,
+    /// Shadow ids, kept across epochs; cells outside `spans` are 0.
     mem: ShadowMemory<u32>,
-    values: Vec<SymTaint>,
-    /// Interning table over `values` (ids are index + 1).
-    interned: HashMap<SymTaint, u32>,
+    /// Page number → index into `spans`, kept across epochs.
+    span_dir: PageDirectory,
+    spans: Vec<Span>,
+    /// Indices of the spans dirtied this epoch, in first-touch order.
+    dirty: Vec<u32>,
     findings: Vec<PendingFinding>,
     /// Exact-duplicate pending findings suppressed (same key, same
     /// guards, same diagnostics: if the first fires the master dedups
@@ -211,6 +195,28 @@ pub struct TaintSummarizer {
     records: u64,
 }
 
+impl Default for TaintSummarizer {
+    fn default() -> Self {
+        TaintSummarizer {
+            nodes: ROOTS.to_vec(),
+            memo: HashMap::new(),
+            stored: vec![false; ROOTS.len()],
+            stored_values: 0,
+            regs: Vec::new(),
+            entry: Vec::new(),
+            mem: ShadowMemory::new(),
+            span_dir: PageDirectory::new(),
+            spans: Vec::new(),
+            dirty: Vec::new(),
+            findings: Vec::new(),
+            finding_seen: HashSet::new(),
+            reported: HashSet::new(),
+            tainted_bytes: 0,
+            records: 0,
+        }
+    }
+}
+
 impl TaintSummarizer {
     /// Creates a summarizer holding the identity transfer function.
     #[must_use]
@@ -218,70 +224,144 @@ impl TaintSummarizer {
         Self::default()
     }
 
-    /// The current symbolic value of a register: its in-epoch write if
-    /// any, else the epoch-entry unknown.
-    fn reg_val(&self, tid: u8, reg: u8) -> SymTaint {
-        self.regs
-            .get(&(tid, reg & 0xf))
-            .cloned()
-            .unwrap_or_else(|| SymTaint::reg(tid, reg))
+    /// The id of `node`, made on first use.
+    fn node(&mut self, node: Node) -> u32 {
+        let next = u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes per epoch");
+        let id = *self.memo.entry(node).or_insert(next);
+        if id == next {
+            self.nodes.push(node);
+            self.stored.push(false);
+        }
+        id
     }
 
-    /// The merged symbolic taint of `len` shadow bytes at `addr`:
-    /// untouched runs become epoch-entry `Mem` deps (coalesced), touched
-    /// bytes OR their interned values in.
-    fn range_val(&self, addr: u64, len: u64) -> SymTaint {
-        let mut out = SymTaint::clean();
-        let mut untouched_run: Option<(u64, u64)> = None; // (start, len)
+    /// `a ∨ b`.
+    fn or(&mut self, a: u32, b: u32) -> u32 {
+        if a == CLEAN || a == b {
+            return b;
+        }
+        if b == CLEAN {
+            return a;
+        }
+        if a == TAINTED || b == TAINTED {
+            return TAINTED;
+        }
+        if let Node::Or(x, y) = self.nodes[a as usize] {
+            if b == x || b == y {
+                return a;
+            }
+        }
+        if let Node::Or(x, y) = self.nodes[b as usize] {
+            if a == x || a == y {
+                return b;
+            }
+        }
+        self.node(Node::Or(a, b))
+    }
+
+    /// The current id of a register: its in-epoch write if any, else its
+    /// epoch-entry node.
+    fn reg_val(&mut self, tid: u8, reg: u8) -> u32 {
+        let (t, r) = (tid as usize, (reg & 0xf) as usize);
+        if let Some(&id) = self.regs.get(t).map(|regs| &regs[r]) {
+            if id != UNWRITTEN {
+                return id;
+            }
+        }
+        if self.entry.len() <= t {
+            self.entry.resize(t + 1, [UNWRITTEN; 16]);
+        }
+        if self.entry[t][r] == UNWRITTEN {
+            let id = self.node(Node::Reg {
+                tid,
+                reg: reg & 0xf,
+            });
+            self.entry[t][r] = id;
+        }
+        self.entry[t][r]
+    }
+
+    fn set_reg(&mut self, tid: u8, reg: u8, id: u32) {
+        let t = tid as usize;
+        if self.regs.len() <= t {
+            self.regs.resize(t + 1, [UNWRITTEN; 16]);
+        }
+        self.regs[t][(reg & 0xf) as usize] = id;
+    }
+
+    /// The merged taint of `len` shadow bytes at `addr`: untouched runs
+    /// become epoch-entry `Mem` nodes, touched bytes OR their ids in.
+    fn range_val(&mut self, addr: u64, len: u64) -> u32 {
+        let mut out = CLEAN;
+        let mut untouched: Option<(u64, u64)> = None; // (start, len)
         for i in 0..len {
             let byte = addr.wrapping_add(i);
             let id = self.mem.get(byte);
-            if id == 0 {
-                untouched_run = match untouched_run {
+            if id == UNWRITTEN {
+                untouched = match untouched {
                     Some((start, run)) => Some((start, run + 1)),
                     None => Some((byte, 1)),
                 };
             } else {
-                if let Some((start, run)) = untouched_run.take() {
-                    out.or_with(&SymTaint {
-                        definite: false,
-                        deps: vec![TaintDep::Mem {
-                            addr: start,
-                            len: run,
-                        }],
-                    });
+                if let Some((addr, len)) = untouched.take() {
+                    let dep = self.node(Node::Mem { addr, len });
+                    out = self.or(out, dep);
                 }
-                out.or_with(&self.values[(id - 1) as usize]);
-                if out.definite {
+                out = self.or(out, id);
+                if out == TAINTED {
                     return out;
                 }
             }
         }
-        if let Some((start, run)) = untouched_run {
-            out.or_with(&SymTaint {
-                definite: false,
-                deps: vec![TaintDep::Mem {
-                    addr: start,
-                    len: run,
-                }],
-            });
+        if let Some((addr, len)) = untouched {
+            let dep = self.node(Node::Mem { addr, len });
+            out = self.or(out, dep);
         }
         out
     }
 
-    /// Interns `value`, returning its id (index into `values` + 1).
-    fn intern(&mut self, value: SymTaint) -> u32 {
-        if let Some(&id) = self.interned.get(&value) {
-            return id;
+    /// Writes `id` over `len` shadow bytes at `addr`, widening the dirty
+    /// span of every page covered (in the page order `set_range` walks).
+    fn store(&mut self, addr: u64, len: u64, id: u32) {
+        if !self.stored[id as usize] {
+            self.stored[id as usize] = true;
+            self.stored_values += 1;
         }
-        self.values.push(value.clone());
-        let id = u32::try_from(self.values.len()).expect("fewer than 2^32 distinct values");
-        self.interned.insert(value, id);
-        id
+        self.mem.set_range(addr, len, id);
+        let mut index = addr;
+        let mut remaining = len;
+        while remaining > 0 {
+            let offset = index & (PAGE_CELLS - 1);
+            let chunk = (PAGE_CELLS - offset).min(remaining);
+            let page = index / PAGE_CELLS;
+            let slot = match self.span_dir.get(page) {
+                Some(slot) => slot as usize,
+                None => {
+                    let slot = self.spans.len();
+                    self.spans.push(Span { page, lo: 0, hi: 0 });
+                    self.span_dir.insert(
+                        page,
+                        u32::try_from(slot).expect("fewer than 2^32 shadow pages"),
+                    );
+                    slot
+                }
+            };
+            let span = &mut self.spans[slot];
+            let (lo, hi) = (offset as u32, (offset + chunk) as u32);
+            if span.lo == span.hi {
+                self.dirty.push(slot as u32);
+                (span.lo, span.hi) = (lo, hi);
+            } else {
+                span.lo = span.lo.min(lo);
+                span.hi = span.hi.max(hi);
+            }
+            index = index.wrapping_add(chunk);
+            remaining -= chunk;
+        }
     }
 
     fn pend(&mut self, key: (u64, FindingKind, u8), finding: PendingFinding, definite: bool) {
-        if self.reported.contains(&key) || !self.finding_seen.insert(finding.clone()) {
+        if self.reported.contains(&key) || !self.finding_seen.insert(finding) {
             return;
         }
         if definite {
@@ -320,14 +400,10 @@ impl Lifeguard for TaintSummarizer {
             EventKind::Alu => {
                 ctx.alu(3);
                 if let Some(out) = rec.out {
-                    let mut t = SymTaint::clean();
-                    if let Some(r) = rec.in1 {
-                        t.or_with(&self.reg_val(rec.tid, r));
-                    }
-                    if let Some(r) = rec.in2 {
-                        t.or_with(&self.reg_val(rec.tid, r));
-                    }
-                    self.regs.insert((rec.tid, out & 0xf), t);
+                    let a = rec.in1.map_or(CLEAN, |r| self.reg_val(rec.tid, r));
+                    let b = rec.in2.map_or(CLEAN, |r| self.reg_val(rec.tid, r));
+                    let t = self.or(a, b);
+                    self.set_reg(rec.tid, out, t);
                 }
             }
             EventKind::Load => {
@@ -335,22 +411,19 @@ impl Lifeguard for TaintSummarizer {
                 ctx.shadow_read(TaintCheck::shadow_addr(rec.addr), rec.size);
                 if let Some(out) = rec.out {
                     let t = self.range_val(rec.addr, u64::from(rec.size));
-                    self.regs.insert((rec.tid, out & 0xf), t);
+                    self.set_reg(rec.tid, out, t);
                 }
             }
             EventKind::Store => {
                 ctx.alu(4);
                 ctx.shadow_write(TaintCheck::shadow_addr(rec.addr), rec.size);
-                let t = rec
-                    .in1
-                    .map_or_else(SymTaint::clean, |r| self.reg_val(rec.tid, r));
-                let id = self.intern(t);
-                self.mem.set_range(rec.addr, u64::from(rec.size), id);
+                let t = rec.in1.map_or(CLEAN, |r| self.reg_val(rec.tid, r));
+                self.store(rec.addr, u64::from(rec.size), t);
             }
             EventKind::Alloc => {
                 ctx.alu(1);
                 if let Some(out) = rec.out {
-                    self.regs.insert((rec.tid, out & 0xf), SymTaint::clean());
+                    self.set_reg(rec.tid, out, CLEAN);
                 }
             }
             EventKind::Recv => {
@@ -364,16 +437,12 @@ impl Lifeguard for TaintSummarizer {
                     ctx.alu(1);
                     off += chunk;
                 }
-                let id = self.intern(SymTaint::tainted());
-                self.mem.set_range(rec.addr, len, id);
+                self.store(rec.addr, len, TAINTED);
             }
             EventKind::IndirectJump => {
                 ctx.alu(2);
-                let guard = rec
-                    .in1
-                    .map_or_else(SymTaint::clean, |r| self.reg_val(rec.tid, r));
-                if !guard.is_clean() {
-                    let definite = guard.is_definite();
+                let guard = rec.in1.map_or(CLEAN, |r| self.reg_val(rec.tid, r));
+                if guard != CLEAN {
                     self.pend(
                         (rec.pc, FindingKind::TaintedJump, rec.tid),
                         PendingFinding::Jump {
@@ -382,7 +451,7 @@ impl Lifeguard for TaintSummarizer {
                             addr: rec.addr,
                             guard,
                         },
-                        definite,
+                        guard == TAINTED,
                     );
                 }
             }
@@ -393,8 +462,7 @@ impl Lifeguard for TaintSummarizer {
                     self.reg_val(rec.tid, 2),
                     self.reg_val(rec.tid, 3),
                 ];
-                if guards.iter().any(|g| !g.is_clean()) {
-                    let definite = guards.iter().any(SymTaint::is_definite);
+                if guards.iter().any(|&g| g != CLEAN) {
                     self.pend(
                         (rec.pc, FindingKind::TaintedSyscallArg, rec.tid),
                         PendingFinding::Syscall {
@@ -404,7 +472,7 @@ impl Lifeguard for TaintSummarizer {
                             size: rec.size,
                             guards,
                         },
-                        definite,
+                        guards.contains(&TAINTED),
                     );
                 }
             }
@@ -417,13 +485,56 @@ impl EpochSummarizer for TaintSummarizer {
     type Summary = TaintSummary;
 
     fn finish_epoch(&mut self) -> TaintSummary {
-        self.interned.clear();
+        let mut reg_out = Vec::new();
+        for (tid, regs) in self.regs.iter_mut().enumerate() {
+            for (reg, id) in regs.iter_mut().enumerate() {
+                if *id != UNWRITTEN {
+                    reg_out.push((tid as u8, reg as u8, std::mem::take(id)));
+                }
+            }
+        }
+        for entry in &mut self.entry {
+            *entry = [UNWRITTEN; 16];
+        }
+
+        // Runs of equal id per dirty span; every cell outside the spans
+        // is already 0, so this is exactly a scan of the whole page.
+        let mut writes = Vec::new();
+        for slot in self.dirty.drain(..) {
+            let span = &mut self.spans[slot as usize];
+            let base = span.page * PAGE_CELLS;
+            let (lo, len) = (u64::from(span.lo), u64::from(span.hi - span.lo));
+            let cells = self
+                .mem
+                .cells(base + lo, len)
+                .expect("a dirty span lies in one resident page");
+            let mut i = 0;
+            while i < cells.len() {
+                let id = cells[i];
+                let mut run = 1;
+                while i + run < cells.len() && cells[i + run] == id {
+                    run += 1;
+                }
+                if id != UNWRITTEN {
+                    writes.push((base + lo + i as u64, run as u32, id));
+                }
+                i += run;
+            }
+            self.mem.set_range(base + lo, len, UNWRITTEN);
+            (span.lo, span.hi) = (0, 0);
+        }
+
+        let nodes = std::mem::replace(&mut self.nodes, ROOTS.to_vec());
+        self.memo.clear();
+        self.stored.clear();
+        self.stored.resize(ROOTS.len(), false);
         self.finding_seen.clear();
         self.reported.clear();
         TaintSummary {
-            reg_out: std::mem::take(&mut self.regs),
-            mem_out: std::mem::take(&mut self.mem),
-            values: std::mem::take(&mut self.values),
+            nodes,
+            reg_out,
+            writes,
+            stored_values: std::mem::take(&mut self.stored_values),
             findings: std::mem::take(&mut self.findings),
             tainted_bytes: std::mem::take(&mut self.tainted_bytes),
             records: std::mem::take(&mut self.records),
@@ -440,23 +551,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sym_taint_saturates_and_dedups() {
-        let mut v = SymTaint::reg(0, 3);
-        v.or_with(&SymTaint::reg(0, 3));
-        assert_eq!(v.deps.len(), 1, "duplicate deps collapse");
-        v.or_with(&SymTaint::reg(1, 4));
-        assert_eq!(v.deps.len(), 2);
-        v.or_with(&SymTaint::tainted());
-        assert!(v.is_definite());
-        assert!(v.deps.is_empty(), "definite saturates the disjunction");
-        v.or_with(&SymTaint::reg(0, 5));
-        assert!(v.deps.is_empty(), "saturated values stay saturated");
-        assert!(SymTaint::clean().is_clean());
-        assert!(!SymTaint::reg(0, 1).is_clean());
+    fn or_short_circuits_and_hash_conses() {
+        let mut s = TaintSummarizer::new();
+        let (a, b) = (s.reg_val(0, 3), s.reg_val(1, 4));
+        assert_eq!(s.reg_val(0, 0x13), a, "registers mask to the 16-file");
+        assert_eq!(s.or(CLEAN, a), a);
+        assert_eq!(s.or(a, a), a);
+        assert_eq!(s.or(a, TAINTED), TAINTED, "tainted saturates");
+        let ab = s.or(a, b);
+        assert_eq!(s.or(a, b), ab, "one node per distinct disjunction");
+        assert_eq!(s.or(ab, b), ab, "an operand already under it is absorbed");
+        assert_eq!(s.or(a, ab), ab);
+        assert!(matches!(s.nodes[ab as usize], Node::Or(x, y) if x == a && y == b));
     }
 
     #[test]
-    fn reg_mask_folds_into_the_16_register_file() {
-        assert_eq!(SymTaint::reg(0, 0x13), SymTaint::reg(0, 3));
+    fn dirty_spans_emit_runs_and_reset() {
+        let mut s = TaintSummarizer::new();
+        let page = PAGE_CELLS * 3;
+        s.store(page + 8, 4, TAINTED);
+        s.store(page - 2, 4, CLEAN); // straddles into the same page
+        s.store(page + 20, 2, TAINTED);
+        let summary = s.finish_epoch();
+        assert_eq!(
+            summary.writes,
+            vec![
+                (page, 2, CLEAN),
+                (page + 8, 4, TAINTED),
+                (page + 20, 2, TAINTED),
+                (page - 2, 2, CLEAN),
+            ],
+            "pages in first-touch order, runs ascending within a page"
+        );
+        assert_eq!(summary.stored_values, 2);
+        assert!(s.mem.range_is(page - 4, 32, UNWRITTEN), "spans cleared");
+        s.store(page + 100, 1, CLEAN);
+        assert_eq!(s.finish_epoch().writes, vec![(page + 100, 1, CLEAN)]);
     }
 }

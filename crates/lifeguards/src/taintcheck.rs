@@ -8,7 +8,7 @@ use lba_lifeguard::{
 };
 use lba_record::{EventKind, EventMask, EventRecord};
 
-use crate::taint_summary::{PendingFinding, SymTaint, TaintDep, TaintSummarizer, TaintSummary};
+use crate::taint_summary::{Node, PendingFinding, TaintSummarizer, TaintSummary};
 
 /// Shadow region base for TaintCheck's per-byte taint map.
 const SHADOW_BASE: u64 = 0x20_0000_0000;
@@ -38,6 +38,9 @@ pub struct TaintCheck {
     /// reported.
     reported: HashSet<(u64, FindingKind, u8)>,
     tainted_bytes_introduced: u64,
+    /// Scratch for [`EpochLifeguard::absorb`]: the resolved taint of
+    /// each node of the summary being absorbed.
+    resolved: Vec<bool>,
 }
 
 impl TaintCheck {
@@ -96,14 +99,22 @@ impl TaintCheck {
         }
     }
 
-    /// Concretizes a symbolic value against the *current* (epoch-entry)
-    /// state: definite taint, or any dep register/range tainted.
-    fn resolve(&self, value: &SymTaint) -> bool {
-        value.definite
-            || value.deps.iter().any(|dep| match *dep {
-                TaintDep::Reg { tid, reg } => self.reg_taint.get(tid, reg),
-                TaintDep::Mem { addr, len } => self.mem_taint.range_any_nonzero(addr, len),
-            })
+    /// Concretizes an epoch DAG against the *current* (epoch-entry)
+    /// state: one result per node, in id order, so each `Or` reads two
+    /// results already computed.
+    fn resolve(&self, nodes: &[Node], out: &mut Vec<bool>) {
+        out.clear();
+        out.reserve(nodes.len());
+        for node in nodes {
+            let tainted = match *node {
+                Node::Clean => false,
+                Node::Tainted => true,
+                Node::Reg { tid, reg } => self.reg_taint.get(tid, reg),
+                Node::Mem { addr, len } => self.mem_taint.range_any_nonzero(addr, len),
+                Node::Or(a, b) => out[a as usize] || out[b as usize],
+            };
+            out.push(tainted);
+        }
     }
 }
 
@@ -120,29 +131,31 @@ impl EpochLifeguard for TaintCheck {
     }
 
     fn absorb(&mut self, summary: TaintSummary, ctx: &mut HandlerCtx<'_>) {
-        // Phase 1: resolve every symbolic value against the entry state.
-        // Conditional findings fire (or not) and report through the same
+        // Phase 1: resolve every node against the entry state. Conditional
+        // findings fire (or not) and report through the same
         // per-(pc, kind, tid) dedup as the sequential run, in program
         // order; the syscall case picks the first firing guard of r1..r3
         // exactly as the sequential `(1..=3).find(..)` does.
+        let mut tainted = std::mem::take(&mut self.resolved);
+        self.resolve(&summary.nodes, &mut tainted);
         for pending in &summary.findings {
             ctx.alu(2);
-            match pending {
+            match *pending {
                 PendingFinding::Jump {
                     pc,
                     tid,
                     addr,
                     guard,
                 } => {
-                    if self.resolve(guard)
-                        && self.reported.insert((*pc, FindingKind::TaintedJump, *tid))
+                    if tainted[guard as usize]
+                        && self.reported.insert((pc, FindingKind::TaintedJump, tid))
                     {
                         ctx.report(Finding {
                             lifeguard: "taintcheck",
                             kind: FindingKind::TaintedJump,
-                            pc: *pc,
-                            tid: *tid,
-                            addr: *addr,
+                            pc,
+                            tid,
+                            addr,
                             message: format!(
                                 "indirect control transfer to {addr:#x} through tainted register"
                             ),
@@ -156,18 +169,18 @@ impl EpochLifeguard for TaintCheck {
                     size,
                     guards,
                 } => {
-                    let tainted_arg = (1..=3u8).find(|&r| self.resolve(&guards[r as usize - 1]));
+                    let tainted_arg = (1..=3u8).find(|&r| tainted[guards[r as usize - 1] as usize]);
                     if let Some(reg) = tainted_arg {
                         if self
                             .reported
-                            .insert((*pc, FindingKind::TaintedSyscallArg, *tid))
+                            .insert((pc, FindingKind::TaintedSyscallArg, tid))
                         {
                             ctx.report(Finding {
                                 lifeguard: "taintcheck",
                                 kind: FindingKind::TaintedSyscallArg,
-                                pc: *pc,
-                                tid: *tid,
-                                addr: *addr,
+                                pc,
+                                tid,
+                                addr,
                                 message: format!(
                                     "syscall {size} with tainted argument register r{reg}"
                                 ),
@@ -177,46 +190,22 @@ impl EpochLifeguard for TaintCheck {
                 }
             }
         }
-        let regs: Vec<((u8, u8), bool)> = summary
-            .reg_out
-            .iter()
-            .map(|(key, value)| {
-                ctx.alu(1);
-                (*key, self.resolve(value))
-            })
-            .collect();
-        let values: Vec<u8> = summary
-            .values
-            .iter()
-            .map(|value| {
-                ctx.alu(1);
-                u8::from(self.resolve(value))
-            })
-            .collect();
+        // The modeled stitch resolves each written register and each
+        // distinct stored value once.
+        ctx.alu(summary.reg_out.len() as u64 + u64::from(summary.stored_values));
 
-        // Phase 2: apply the resolved out-state. Touched shadow bytes are
-        // walked as runs of equal value ids per resident summary page.
-        for ((tid, reg), tainted) in regs {
-            self.reg_taint.set(tid, reg, tainted);
+        // Phase 2: apply the resolved out-state, shadow writes as the
+        // summary's runs of equal id.
+        for &(tid, reg, id) in &summary.reg_out {
+            self.reg_taint.set(tid, reg, tainted[id as usize]);
         }
-        for (base, cells) in summary.mem_out.pages() {
-            let mut i = 0;
-            while i < cells.len() {
-                let id = cells[i];
-                let mut run = 1;
-                while i + run < cells.len() && cells[i + run] == id {
-                    run += 1;
-                }
-                if id != 0 {
-                    let addr = base.wrapping_add(i as u64);
-                    ctx.shadow_write(Self::shadow_addr(addr), run as u32);
-                    self.mem_taint
-                        .set_range(addr, run as u64, values[(id - 1) as usize]);
-                }
-                i += run;
-            }
+        for &(addr, len, id) in &summary.writes {
+            ctx.shadow_write(Self::shadow_addr(addr), len);
+            self.mem_taint
+                .set_range(addr, u64::from(len), u8::from(tainted[id as usize]));
         }
         self.tainted_bytes_introduced += summary.tainted_bytes;
+        self.resolved = tainted;
     }
 }
 
