@@ -134,7 +134,8 @@ fn bench_pipeline(c: &mut Criterion) {
             b.iter(|| {
                 run_live_taint_parallel(program, workers, &cfg)
                     .expect("runs")
-                    .total_records()
+                    .log
+                    .records
             })
         });
     }

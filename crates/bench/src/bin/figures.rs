@@ -68,15 +68,11 @@ fn record_replay_smoke() -> Result<(), String> {
     let RunOutcome::Replay(replay) = &outcome else {
         return Err("RunMode::Replay produced a non-replay outcome".into());
     };
-    if replay.total_wire_bits() != recorded.log.wire_bits
-        || replay.total_records() != recorded.log.records
+    if replay.log.wire_bits != recorded.log.wire_bits || replay.log.records != recorded.log.records
     {
         return Err(format!(
             "replay accounting diverges: {} wire bits / {} records vs recorded {} / {}",
-            replay.total_wire_bits(),
-            replay.total_records(),
-            recorded.log.wire_bits,
-            recorded.log.records,
+            replay.log.wire_bits, replay.log.records, recorded.log.wire_bits, recorded.log.records,
         ));
     }
     println!(
@@ -210,17 +206,14 @@ fn socket_transport_smoke() -> Result<(), String> {
     if remote.findings != live.findings {
         return Err("remote findings diverge from live-parallel".into());
     }
-    let (RunOutcome::Remote(remote), RunOutcome::LiveParallel(live)) = (&remote, &live) else {
-        return Err("builder returned unexpected outcome variants".into());
-    };
-    if remote.shard_log.len() != live.shard_log.len() {
+    if remote.channels.len() != live.channels.len() {
         return Err(format!(
             "remote ran {} shard streams, live-parallel {}",
-            remote.shard_log.len(),
-            live.shard_log.len()
+            remote.channels.len(),
+            live.channels.len()
         ));
     }
-    for (shard, (r, l)) in remote.shard_log.iter().zip(&live.shard_log).enumerate() {
+    for (shard, (r, l)) in remote.channels.iter().zip(&live.channels).enumerate() {
         if (r.records, r.frames, r.wire_bits, r.payload_bits)
             != (l.records, l.frames, l.wire_bits, l.payload_bits)
         {
@@ -236,7 +229,7 @@ fn socket_transport_smoke() -> Result<(), String> {
         "socket transport smoke: {workers} workers over Unix-domain sockets, \
          findings and per-shard wire accounting identical to in-process \
          ({} wire bits, {} findings)",
-        remote.total_wire_bits(),
+        remote.log.wire_bits,
         remote.findings.len()
     );
     Ok(())

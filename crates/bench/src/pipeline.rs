@@ -215,7 +215,7 @@ pub fn measure_taint_parallel(samples: usize) -> Vec<PipelineRow> {
     for workers in EPOCH_WORKER_COUNTS {
         let (records, wire_bits, wall) = best_of(samples, || {
             let report = run_live_taint_parallel(&program, workers, &cfg).expect("gzip runs clean");
-            (report.total_records(), report.total_wire_bits())
+            (report.log.records, report.log.wire_bits)
         });
         rows.push(PipelineRow {
             mode: "live-taint-parallel",
@@ -258,11 +258,10 @@ pub fn measure_replay(samples: usize) -> Vec<PipelineRow> {
         let (records, wire_bits, wall) = best_of(samples, || {
             let replay = run_replay(&dir, make, &cfg).expect("recording replays clean");
             assert_eq!(
-                replay.total_wire_bits(),
-                recorded.log.wire_bits,
+                replay.log.wire_bits, recorded.log.wire_bits,
                 "replay wire accounting must be byte-identical to the recording"
             );
-            (replay.total_records(), replay.total_wire_bits())
+            (replay.log.records, replay.log.wire_bits)
         });
         rows.push(PipelineRow {
             mode: "replay",
@@ -357,7 +356,7 @@ pub fn measure_degraded(samples: usize) -> Vec<PipelineRow> {
                     } else {
                         let report =
                             run_live(&program, lg.as_mut(), &cfg).expect("gzip runs clean");
-                        (report.log, report.pipeline.degradation)
+                        (report.log, report.degradation)
                     };
                     assert_eq!(
                         degradation.is_empty(),
@@ -493,7 +492,7 @@ pub fn measure_live_parallel(samples: usize) -> Vec<PipelineRow> {
             let (records, wire_bits, wall) = best_of(samples, || {
                 let report =
                     run_live_parallel(&program, make, shards, &cfg).expect("gzip runs clean");
-                (report.trace.instructions(), report.total_wire_bits())
+                (report.trace.instructions(), report.log.wire_bits)
             });
             rows.push(PipelineRow {
                 mode: "live-parallel",
@@ -532,7 +531,7 @@ pub fn measure_remote(samples: usize) -> Vec<PipelineRow> {
         for workers in SHARD_COUNTS {
             let (records, wire_bits, wall) = best_of(samples, || {
                 let report = run_remote(&program, make, workers, &cfg).expect("gzip runs clean");
-                (report.trace.instructions(), report.total_wire_bits())
+                (report.trace.instructions(), report.log.wire_bits)
             });
             rows.push(PipelineRow {
                 mode: "remote",

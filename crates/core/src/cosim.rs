@@ -11,7 +11,8 @@ use lba_transport::{modeled_channel, FaultInjector, LoadSample, LogChannel, Push
 
 use crate::config::SystemConfig;
 use crate::pipeline::{Producer, ProducerLink};
-use crate::report::{LogStats, Mode, PipelineReport, RunReport, StallBreakdown};
+use crate::report::{PipelineReport, RunReport, StallBreakdown};
+use crate::runner::RunMode;
 
 /// The lifeguard core's MemSystem index (the application core is 0, which
 /// is the machine's default).
@@ -351,19 +352,12 @@ pub fn run_lba(
 
     let stats = sim.channel.stats();
     Ok(RunReport {
-        program: program.name().to_string(),
-        mode: Mode::Lba,
         total_cycles: sim.t_app.max(sim.t_lg),
         app_cycles: sim.t_app,
-        lifeguard_cycles: sim.t_lg,
-        pipeline: PipelineReport {
-            findings: sim.findings,
-            log: LogStats::from_channel(stats, finish.capture, finish.trace.instructions()),
-            capture: finish.capture,
-            degradation: finish.degradation,
-        },
-        trace: finish.trace,
+        lifeguard_cycles: vec![sim.t_lg],
+        stitch_cycles: 0,
         stalls: sim.stalls,
+        pipeline: PipelineReport::shipped(program, RunMode::Lba, finish, sim.findings, vec![stats]),
     })
 }
 
@@ -570,7 +564,7 @@ mod tests {
 
         assert!(filtered.log.filtered > 0, "filter must drop events");
         assert!(
-            filtered.lifeguard_cycles < unfiltered.lifeguard_cycles,
+            filtered.max_lifeguard_cycles() < unfiltered.max_lifeguard_cycles(),
             "filtering must reduce lifeguard time"
         );
         // Heap-range filtering is sound for AddrCheck: same findings.

@@ -63,7 +63,7 @@ use lba_cpu::{Machine, RunError, StepOutcome};
 use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, EpochLifeguard, EpochSummarizer, Finding, HandlerCtx};
 use lba_lifeguards::TaintCheck;
-use lba_record::{EventRecord, TraceStats};
+use lba_record::EventRecord;
 use lba_transport::live::FrameReceiver;
 use lba_transport::{ChannelStats, LogChannel, ModeledFrameChannel};
 
@@ -73,92 +73,13 @@ use crate::pipeline::{
     ConsumerTopology, EpochRouted, Producer, ProducerFinish, ProducerLink, Route,
 };
 use crate::replay::ReplayError;
-use crate::report::{LogStats, PipelineReport, ReplayReport, ReplayStreamStats};
+use crate::report::{PipelineReport, ReplayReport, ReplayStreamStats, RunReport, StallBreakdown};
+use crate::runner::RunMode;
 
 /// Per-worker channel byte budget in the modeled mode. Epochs drain as
 /// their frames seal, so this bounds transport memory, not the log; like
 /// the sharded study, no back-pressure is modelled.
 const EPOCH_BUFFER_BYTES: u64 = 1 << 20;
-
-/// Result of a modeled epoch-parallel run ([`run_epoch_parallel`]).
-#[derive(Debug, Clone)]
-pub struct EpochParallelReport {
-    /// Program name.
-    pub program: String,
-    /// Worker (summarizer) count.
-    pub workers: usize,
-    /// Epochs the stream decomposed into (and the merge step stitched).
-    pub epochs: u64,
-    /// Application-core cycles (no back-pressure or syscall-stall charges;
-    /// this mode isolates lifeguard-side scaling, like the sharded study).
-    pub app_cycles: u64,
-    /// Per-worker summarizer-core cycles.
-    pub worker_cycles: Vec<u64>,
-    /// Merge-core clock after the last summary was absorbed: each epoch's
-    /// stitch starts no earlier than the previous epoch's stitch *and* the
-    /// epoch's own summary completion, so this is the pipelined critical
-    /// path through workers and merge.
-    pub stitch_cycles: u64,
-    /// End-to-end cycles: `max(app, stitch)` (the stitch clock already
-    /// dominates every worker clock it waited on).
-    pub total_cycles: u64,
-    /// Retired-instruction statistics.
-    pub trace: TraceStats,
-    /// Per-worker transport statistics. Every record lands on exactly one
-    /// worker (epochs partition the stream — nothing is broadcast), so the
-    /// record totals sum to the sequential stream's.
-    pub worker_log: Vec<ChannelStats>,
-    /// The shared pipeline core: findings in program order (identical to
-    /// the sequential run's), log statistics summed over the worker
-    /// streams, and the (passthrough) capture ledger.
-    pub pipeline: PipelineReport,
-}
-
-crate::report::deref_pipeline!(EpochParallelReport);
-
-impl EpochParallelReport {
-    /// The slowest worker's cycles.
-    #[must_use]
-    pub fn max_worker_cycles(&self) -> u64 {
-        self.worker_cycles.iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// Result of a live epoch-parallel run ([`run_live_epoch_parallel`]): real
-/// threads, so findings and wire statistics but no modeled clocks.
-#[derive(Debug, Clone)]
-pub struct LiveEpochParallelReport {
-    /// Program name.
-    pub program: String,
-    /// Worker (summarizer) thread count.
-    pub workers: usize,
-    /// Epochs stitched by the merge thread.
-    pub epochs: u64,
-    /// Retired-instruction statistics, gathered on the producer thread.
-    pub trace: TraceStats,
-    /// Per-worker transport statistics, in worker order.
-    pub worker_log: Vec<ChannelStats>,
-    /// The shared pipeline core: findings in program order (identical to
-    /// the sequential run's) plus aggregate log statistics.
-    pub pipeline: PipelineReport,
-}
-
-crate::report::deref_pipeline!(LiveEpochParallelReport);
-
-impl LiveEpochParallelReport {
-    /// Records carried across all workers — exactly the shipped stream,
-    /// since epochs partition it.
-    #[must_use]
-    pub fn total_records(&self) -> u64 {
-        self.worker_log.iter().map(|s| s.records).sum()
-    }
-
-    /// Wire bits shipped across all workers.
-    #[must_use]
-    pub fn total_wire_bits(&self) -> u64 {
-        self.worker_log.iter().map(|s| s.wire_bits).sum()
-    }
-}
 
 /// One modeled worker: its channel, summarizer, clock, and the summaries
 /// it has sealed (with their completion times), oldest first.
@@ -285,7 +206,7 @@ pub fn run_epoch_parallel<E: EpochLifeguard>(
     master: &mut E,
     workers: usize,
     config: &SystemConfig,
-) -> Result<EpochParallelReport, RunError> {
+) -> Result<RunReport, RunError> {
     assert!(workers > 0, "need at least one epoch worker");
     config.log.validate_framing()?;
     let mut machine = Machine::new(program, config.machine);
@@ -372,25 +293,18 @@ pub fn run_epoch_parallel<E: EpochLifeguard>(
         crate::recorder::finish_tee(worker.channel.take_tee())?;
     }
 
-    let worker_cycles: Vec<u64> = link.pool.iter().map(|w| w.clock).collect();
-    let worker_log: Vec<ChannelStats> = link.pool.iter().map(|w| w.channel.stats()).collect();
-    let total_cycles = app_cycles.max(stitch_clock);
-    Ok(EpochParallelReport {
-        program: program.name().to_string(),
-        workers,
-        epochs: link.topology.epochs(),
+    let channels: Vec<ChannelStats> = link.pool.iter().map(|w| w.channel.stats()).collect();
+    let mut pipeline =
+        PipelineReport::shipped(program, RunMode::EpochParallel, finish, findings, channels);
+    pipeline.epochs = link.topology.epochs();
+    // The stitch clock already dominates every worker clock it waited on.
+    Ok(RunReport {
+        total_cycles: app_cycles.max(stitch_clock),
         app_cycles,
-        worker_cycles,
+        lifeguard_cycles: link.pool.iter().map(|w| w.clock).collect(),
         stitch_cycles: stitch_clock,
-        total_cycles,
-        pipeline: PipelineReport {
-            findings,
-            log: LogStats::from_channels(&worker_log, finish.capture, finish.trace.instructions()),
-            capture: finish.capture,
-            degradation: finish.degradation,
-        },
-        trace: finish.trace,
-        worker_log,
+        stalls: StallBreakdown::default(),
+        pipeline,
     })
 }
 
@@ -429,7 +343,7 @@ pub fn run_live_epoch_parallel<E>(
     master: &mut E,
     workers: usize,
     config: &SystemConfig,
-) -> Result<LiveEpochParallelReport, RunError>
+) -> Result<PipelineReport, RunError>
 where
     E: EpochLifeguard + Send,
 {
@@ -523,7 +437,7 @@ where
             };
             machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
             let finish = producer.finish(&mut link);
-            finish_senders(link.senders).map(|worker_log| (finish, worker_log))
+            finish_senders(link.senders).map(|channels| (finish, channels))
         })();
 
         // Join every thread before returning (the scope re-raises the
@@ -536,24 +450,16 @@ where
         let merged = join_thread(merge, "epoch merge");
         workers_done.into_iter().collect::<Result<(), _>>()?;
         let (findings, epochs) = merged?;
-        let (finish, worker_log) = produced?;
-        Ok(LiveEpochParallelReport {
-            program: program.name().to_string(),
-            workers,
-            epochs,
-            pipeline: PipelineReport {
-                findings,
-                log: LogStats::from_channels(
-                    &worker_log,
-                    finish.capture,
-                    finish.trace.instructions(),
-                ),
-                capture: finish.capture,
-                degradation: finish.degradation,
-            },
-            trace: finish.trace,
-            worker_log,
-        })
+        let (finish, channels) = produced?;
+        let mut report = PipelineReport::shipped(
+            program,
+            RunMode::LiveEpochParallel,
+            finish,
+            findings,
+            channels,
+        );
+        report.epochs = epochs;
+        Ok(report)
     })
 }
 
@@ -682,13 +588,16 @@ pub fn run_replay_epoch<E: EpochLifeguard>(
         "round-robin stitch must drain every stream"
     );
     engine.finish(master, &mut mem, 1, &mut findings);
-    Ok(ReplayReport {
-        dir: dir.display().to_string(),
+    let mut report = ReplayReport::new(
+        dir,
         codec_version,
-        pipeline: ReplayReport::stream_pipeline(&streams, findings),
+        RunMode::ReplayEpoch,
         streams,
-        salvaged: Vec::new(),
-    })
+        Vec::new(),
+        findings,
+    );
+    report.epochs = epoch;
+    Ok(report)
 }
 
 /// [`run_epoch_parallel`] instantiated for [`TaintCheck`] — the DIFT
@@ -703,10 +612,10 @@ pub fn run_taint_parallel(
     program: &Program,
     workers: usize,
     config: &SystemConfig,
-) -> Result<EpochParallelReport, RunError> {
+) -> Result<RunReport, RunError> {
     // Equivalent to `Run::new(program).mode(RunMode::EpochParallel)
     //     .monitor(LifeguardKind::TaintCheck)`, which new code should
-    // prefer; kept as the registry hooks' direct entry point.
+    // prefer; kept as the mode's direct entry point.
     let mut master = TaintCheck::new();
     run_epoch_parallel(program, &mut master, workers, config)
 }
@@ -720,10 +629,10 @@ pub fn run_live_taint_parallel(
     program: &Program,
     workers: usize,
     config: &SystemConfig,
-) -> Result<LiveEpochParallelReport, RunError> {
+) -> Result<PipelineReport, RunError> {
     // Equivalent to `Run::new(program).mode(RunMode::LiveEpochParallel)
     //     .monitor(LifeguardKind::TaintCheck)`, which new code should
-    // prefer; kept as the registry hooks' direct entry point.
+    // prefer; kept as the mode's direct entry point.
     let mut master = TaintCheck::new();
     run_live_epoch_parallel(program, &mut master, workers, config)
 }
@@ -854,7 +763,7 @@ mod tests {
         // Epochs partition the stream: no broadcast, no duplication.
         assert_eq!(report.log.records, sequential.log.records);
         assert!(report.epochs >= 2, "gzip must decompose into epochs");
-        assert_eq!(report.worker_log.len(), 4);
+        assert_eq!(report.channels.len(), 4);
     }
 
     #[test]
@@ -887,7 +796,7 @@ mod tests {
             master.tainted_bytes_introduced(),
             seq.tainted_bytes_introduced()
         );
-        assert_eq!(report.total_records(), sequential.log.records);
+        assert_eq!(report.log.records, sequential.log.records);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 use std::fmt;
 
 use lba_lifeguard::Lifeguard;
-use lba_lifeguards::{AddrCheck, LockSet, LockSetConfig, TaintCheck};
 use lba_workloads::Benchmark;
+
+use crate::pipeline::{MonitorSpec, MONITORS};
 
 /// One of the paper's three lifeguards, as an experiment parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,15 +36,20 @@ impl LifeguardKind {
         }
     }
 
+    /// This lifeguard's [`MONITORS`] row.
+    #[must_use]
+    pub(crate) fn spec(self) -> &'static MonitorSpec {
+        MONITORS
+            .iter()
+            .find(|m| m.name == self.name())
+            .expect("every LifeguardKind has a MONITORS row")
+    }
+
     /// Builds a fresh lifeguard instance configured for the LBA run
     /// (hardware-assisted: LockSet memoises lockset operations).
     #[must_use]
     pub fn make_lba(self) -> Box<dyn Lifeguard> {
-        match self {
-            LifeguardKind::AddrCheck => Box::new(AddrCheck::new()),
-            LifeguardKind::TaintCheck => Box::new(TaintCheck::new()),
-            LifeguardKind::LockSet => Box::new(LockSet::new()),
-        }
+        (self.spec().make)()
     }
 
     /// Builds a fresh lifeguard instance configured for the DBI baseline
@@ -51,14 +57,7 @@ impl LifeguardKind {
     /// paper-era software race detectors did; DESIGN.md §5).
     #[must_use]
     pub fn make_dbi(self) -> Box<dyn Lifeguard> {
-        match self {
-            LifeguardKind::AddrCheck => Box::new(AddrCheck::new()),
-            LifeguardKind::TaintCheck => Box::new(TaintCheck::new()),
-            LifeguardKind::LockSet => Box::new(LockSet::with_config(LockSetConfig {
-                memoize: false,
-                call_overhead: 20,
-            })),
-        }
+        (self.spec().make_dbi)()
     }
 
     /// The benchmarks this lifeguard is evaluated on in Figure 2:

@@ -74,27 +74,27 @@ pub use controller::{AdaptiveConfig, CaptureController, Transition, Verdict};
 pub use cosim::run_lba;
 pub use epoch_parallel::{
     run_epoch_parallel, run_live_epoch_parallel, run_live_taint_parallel, run_replay_epoch,
-    run_taint_parallel, EpochParallelReport, LiveEpochParallelReport,
+    run_taint_parallel,
 };
 pub use error::LbaError;
 pub use kind::LifeguardKind;
 pub use live::run_live;
 pub use live_parallel::run_live_parallel;
 pub use pipeline::{
-    ConsumerTopology, EpochRouted, Execution, ModeOutcome, MonitorSpec, Producer, ProducerFinish,
-    ProducerLink, ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind,
-    MONITORS, RUN_MODES,
+    ConsumerTopology, EpochRouted, Execution, MonitorSpec, Producer, ProducerFinish, ProducerLink,
+    ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS,
+    RUN_MODES,
 };
 pub use remote::run_remote;
 pub use replay::{run_replay, run_replay_with, ReplayError, ReplayMode};
 pub use report::{
-    LiveParallelReport, LiveReport, LogStats, Mode, PipelineReport, RemoteReport, ReplayReport,
-    ReplayStreamStats, RunReport, SalvagedTail, StallBreakdown,
+    LogStats, PipelineReport, ReplayReport, ReplayStreamStats, RunReport, SalvagedTail,
+    StallBreakdown,
 };
 pub use run::{run_dbi, run_unmonitored};
-pub use runner::{MonitorChoice, Run, RunMode, RunOutcome};
+pub use runner::{record_then_run, MonitorChoice, Run, RunMode, RunOutcome};
 
-// Per-shard transport statistics appear in the parallel reports; re-export
+// Per-channel transport statistics appear in every report's `channels`; re-export
 // the type so downstream code can name it without a direct lba-transport
 // dependency. The load/fault types parameterize `LogConfig` and the
 // degradation experiments.

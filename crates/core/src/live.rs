@@ -27,7 +27,8 @@ use lba_transport::FrameSender;
 use crate::config::SystemConfig;
 use crate::fanout::{finish_senders, join_thread, live_senders};
 use crate::pipeline::{Producer, ProducerFinish, ProducerLink};
-use crate::report::{LiveReport, LogStats, PipelineReport};
+use crate::report::PipelineReport;
+use crate::runner::RunMode;
 
 /// Encoding of the analysis-side dial slot the consumer publishes and the
 /// producer drains: no request pending.
@@ -107,7 +108,7 @@ pub fn run_live(
     program: &Program,
     lifeguard: &mut dyn Lifeguard,
     config: &SystemConfig,
-) -> Result<LiveReport, RunError> {
+) -> Result<PipelineReport, RunError> {
     config.log.validate_framing()?;
     // One channel as deep as the buffer budget allows, recorded as stream
     // 0 on the producer thread, with the stall timeout and the fault
@@ -177,17 +178,13 @@ pub fn run_live(
         engine.finish(lifeguard, &mut mem, 1, &mut findings);
 
         let finish = join_thread(producer, "producer")??;
-        let stats = rx.stats();
-        Ok(LiveReport {
-            program: program.name().to_string(),
-            pipeline: PipelineReport {
-                findings,
-                log: LogStats::from_channel(stats, finish.capture, finish.trace.instructions()),
-                capture: finish.capture,
-                degradation: finish.degradation,
-            },
-            trace: finish.trace,
-        })
+        Ok(PipelineReport::shipped(
+            program,
+            RunMode::Live,
+            finish,
+            findings,
+            vec![rx.stats()],
+        ))
     })
 }
 

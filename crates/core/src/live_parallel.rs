@@ -39,7 +39,8 @@ use lba_transport::ChannelStats;
 use crate::config::SystemConfig;
 use crate::fanout::{finish_senders, join_thread, live_senders, FanOutLink};
 use crate::pipeline::{Producer, ProducerFinish, ShardedByLine};
-use crate::report::{LiveParallelReport, LogStats, PipelineReport};
+use crate::report::PipelineReport;
+use crate::runner::RunMode;
 
 /// The lifeguard-core MemSystem index used by every consumer thread (each
 /// thread owns a private dual-core memory system; live mode reports no
@@ -86,7 +87,7 @@ pub fn run_live_parallel(
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     shards: usize,
     config: &SystemConfig,
-) -> Result<LiveParallelReport, RunError> {
+) -> Result<PipelineReport, RunError> {
     assert!(shards > 0, "need at least one shard");
     config.log.validate_framing()?;
     let (senders, receivers) = live_senders(shards, config)?;
@@ -163,7 +164,7 @@ pub fn run_live_parallel(
             // Snap back out of degradation, settle fold counts, ship the
             // tail, then close every shard stream.
             let finish = producer.finish(&mut link);
-            finish_senders(link.senders).map(|shard_log| (finish, shard_log))
+            finish_senders(link.senders).map(|channels| (finish, channels))
         })();
 
         // Join every consumer before returning (the scope re-raises the
@@ -174,23 +175,14 @@ pub fn run_live_parallel(
             .collect();
         let shard_findings = joined.into_iter().collect::<Result<Vec<_>, _>>()?;
         let findings = crate::parallel::merge_shard_findings(shard_findings);
-        let (finish, shard_log) = produced?;
-        Ok(LiveParallelReport {
-            program: program.name().to_string(),
-            shards,
-            pipeline: PipelineReport {
-                findings,
-                log: LogStats::from_channels(
-                    &shard_log,
-                    finish.capture,
-                    finish.trace.instructions(),
-                ),
-                capture: finish.capture,
-                degradation: finish.degradation,
-            },
-            trace: finish.trace,
-            shard_log,
-        })
+        let (finish, channels) = produced?;
+        Ok(PipelineReport::shipped(
+            program,
+            RunMode::LiveParallel,
+            finish,
+            findings,
+            channels,
+        ))
     })
 }
 
@@ -231,11 +223,11 @@ mod tests {
         let report =
             run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 3, &config)
                 .unwrap();
-        assert_eq!(report.shard_log.len(), 3);
+        assert_eq!(report.channels.len(), 3);
         // Broadcast records count once per shard, so together the shards
         // carry at least the retired event stream.
-        assert!(report.total_records() >= report.trace.instructions());
-        for stats in &report.shard_log {
+        assert!(report.log.records >= report.trace.instructions());
+        for stats in &report.channels {
             assert!(stats.frames > 0, "every shard must ship frames");
             assert!(stats.wire_bits >= stats.payload_bits);
             assert!(stats.high_water_bits > 0);
@@ -248,9 +240,9 @@ mod tests {
         let config = SystemConfig::default();
         let report =
             run_live_parallel(&program, || LifeguardKind::LockSet.make_lba(), 1, &config).unwrap();
-        assert_eq!(report.shards, 1);
+        assert_eq!(report.channels.len(), 1);
         // A single shard owns every record: no routing, no broadcast dups.
-        assert_eq!(report.shard_log[0].records, report.trace.instructions());
+        assert_eq!(report.channels[0].records, report.trace.instructions());
         assert!(report
             .findings
             .iter()

@@ -35,50 +35,19 @@ use lba_cache::MemSystemConfig;
 use lba_cpu::{Machine, RunError, StepOutcome};
 use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
-use lba_record::{EventRecord, TraceStats};
+use lba_record::EventRecord;
 use lba_transport::{ChannelStats, FaultInjector, LoadSample, LogChannel, ModeledFrameChannel};
 
 use crate::config::SystemConfig;
 use crate::pipeline::{ConsumerTopology, Producer, ProducerLink, Route, ShardedByLine};
-use crate::report::{LogStats, PipelineReport};
+use crate::report::{PipelineReport, RunReport, StallBreakdown};
+use crate::runner::RunMode;
 
 /// Per-shard channel byte budget. The parallel study isolates
 /// lifeguard-side scaling, so no back-pressure is modelled: shards drain
 /// opportunistically as frames seal, keeping transport memory bounded by
 /// this budget rather than the whole log.
 const SHARD_BUFFER_BYTES: u64 = 1 << 20;
-
-/// Result of a parallel-lifeguard run.
-#[derive(Debug, Clone)]
-pub struct ParallelReport {
-    /// Shard count.
-    pub shards: usize,
-    /// Application-core cycles (no back-pressure modelled here; the
-    /// parallel study isolates lifeguard-side scaling).
-    pub app_cycles: u64,
-    /// Per-shard lifeguard-core cycles.
-    pub shard_cycles: Vec<u64>,
-    /// End-to-end cycles: `max(app, slowest shard)`.
-    pub total_cycles: u64,
-    /// Retired-instruction statistics.
-    pub trace: TraceStats,
-    /// Per-shard transport statistics (records, frames, wire bits).
-    pub shard_log: Vec<ChannelStats>,
-    /// The shared pipeline core: findings merged over shards
-    /// (deduplicated), log statistics summed over the shard channels, and
-    /// the producer-side capture/degradation ledgers.
-    pub pipeline: PipelineReport,
-}
-
-crate::report::deref_pipeline!(ParallelReport);
-
-impl ParallelReport {
-    /// The slowest shard's cycles.
-    #[must_use]
-    pub fn max_shard_cycles(&self) -> u64 {
-        self.shard_cycles.iter().copied().max().unwrap_or(0)
-    }
-}
 
 /// Merges per-shard finding lists in shard order, deduplicating on the
 /// identifying fields — broadcast events surface the same finding on every
@@ -219,7 +188,7 @@ pub fn run_lba_parallel(
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard>,
     shards: usize,
     config: &SystemConfig,
-) -> Result<ParallelReport, RunError> {
+) -> Result<RunReport, RunError> {
     assert!(shards > 0, "need at least one shard");
     config.log.validate_framing()?;
     let mut machine = Machine::new(program, config.machine);
@@ -316,21 +285,21 @@ pub fn run_lba_parallel(
     }
 
     let findings = merge_shard_findings(link.shard_findings);
-    let shard_log: Vec<ChannelStats> = link.channels.iter().map(|c| c.stats()).collect();
+    let channels: Vec<ChannelStats> = link.channels.iter().map(|c| c.stats()).collect();
     let total_cycles = app_cycles.max(link.shard_cycles.iter().copied().max().unwrap_or(0));
-    Ok(ParallelReport {
-        shards,
-        app_cycles,
-        shard_cycles: link.shard_cycles,
+    Ok(RunReport {
         total_cycles,
-        pipeline: PipelineReport {
+        app_cycles,
+        lifeguard_cycles: link.shard_cycles,
+        stitch_cycles: 0,
+        stalls: StallBreakdown::default(),
+        pipeline: PipelineReport::shipped(
+            program,
+            RunMode::LbaParallel,
+            finish,
             findings,
-            log: LogStats::from_channels(&shard_log, finish.capture, finish.trace.instructions()),
-            capture: finish.capture,
-            degradation: finish.degradation,
-        },
-        trace: finish.trace,
-        shard_log,
+            channels,
+        ),
     })
 }
 
@@ -351,10 +320,10 @@ mod tests {
         let four =
             run_lba_parallel(&program, || LifeguardKind::LockSet.make_lba(), 4, &config).unwrap();
         assert!(
-            four.max_shard_cycles() * 2 < one.max_shard_cycles(),
+            four.max_lifeguard_cycles() * 2 < one.max_lifeguard_cycles(),
             "4 shards ({}) should at least halve one shard ({})",
-            four.max_shard_cycles(),
-            one.max_shard_cycles()
+            four.max_lifeguard_cycles(),
+            one.max_lifeguard_cycles()
         );
     }
 
@@ -386,12 +355,12 @@ mod tests {
         let config = SystemConfig::default();
         let report =
             run_lba_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 3, &config).unwrap();
-        assert_eq!(report.shard_log.len(), 3);
-        let records: u64 = report.shard_log.iter().map(|s| s.records).sum();
+        assert_eq!(report.channels.len(), 3);
+        let records: u64 = report.channels.iter().map(|s| s.records).sum();
         // Broadcast events are counted once per shard, so the shards
         // together carry at least the retired event stream.
         assert!(records >= report.trace.instructions());
-        for stats in &report.shard_log {
+        for stats in &report.channels {
             assert!(stats.frames > 0);
             assert!(stats.wire_bits >= stats.payload_bits);
         }

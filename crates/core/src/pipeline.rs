@@ -500,8 +500,8 @@ impl ConsumerTopology for ReplaySource {
     }
 }
 
-/// One lifeguard in the mode/monitor registry: its stable name, a
-/// factory, and which consumer topologies are sound for it. The
+/// One lifeguard in the mode/monitor registry: its stable name, its
+/// log-based and DBI factories, and which consumer topologies are sound for it. The
 /// experiment layer, the benchmarks (`lba_bench::pipeline::lifeguards`)
 /// and the cross-mode equivalence suite all derive their enumerations
 /// from [`MONITORS`], so a new lifeguard lands in every harness by
@@ -510,8 +510,13 @@ impl ConsumerTopology for ReplaySource {
 pub struct MonitorSpec {
     /// Stable lowercase name (matches `Lifeguard::name`).
     pub name: &'static str,
-    /// Builds a fresh instance.
+    /// Builds a fresh instance configured for the log-based modes
+    /// (hardware-assisted: LockSet memoises lockset operations).
     pub make: fn() -> Box<dyn Lifeguard>,
+    /// Builds a fresh instance configured for the DBI baseline
+    /// (software-only: LockSet recomputes lockset operations, as the
+    /// paper-era software race detectors did).
+    pub make_dbi: fn() -> Box<dyn Lifeguard>,
     /// Whether address-interleaved sharding ([`ShardedByLine`]) is sound
     /// and benchmarked for this lifeguard (per-address state only).
     pub shardable: bool,
@@ -526,24 +531,35 @@ pub const MONITORS: [MonitorSpec; 4] = [
     MonitorSpec {
         name: "addrcheck",
         make: || Box::new(lba_lifeguards::AddrCheck::new()),
+        make_dbi: || Box::new(lba_lifeguards::AddrCheck::new()),
         shardable: true,
         epoch: false,
     },
     MonitorSpec {
         name: "taintcheck",
         make: || Box::new(lba_lifeguards::TaintCheck::new()),
+        make_dbi: || Box::new(lba_lifeguards::TaintCheck::new()),
         shardable: false,
         epoch: true,
     },
     MonitorSpec {
         name: "lockset",
         make: || Box::new(lba_lifeguards::LockSet::new()),
+        make_dbi: || {
+            Box::new(lba_lifeguards::LockSet::with_config(
+                lba_lifeguards::LockSetConfig {
+                    memoize: false,
+                    call_overhead: 20,
+                },
+            ))
+        },
         shardable: true,
         epoch: false,
     },
     MonitorSpec {
         name: "memprofile",
         make: || Box::new(lba_lifeguards::MemProfile::new()),
+        make_dbi: || Box::new(lba_lifeguards::MemProfile::new()),
         shardable: false,
         epoch: false,
     },
@@ -573,19 +589,6 @@ pub enum TopologyKind {
     Replay,
 }
 
-/// The wire- and finding-level accounting one registry run hands back,
-/// for cross-mode equivalence pinning.
-#[derive(Debug, Clone)]
-pub struct ModeOutcome {
-    /// Findings as the mode reports them (merged and deduplicated in the
-    /// fan-out modes).
-    pub findings: Vec<lba_lifeguard::Finding>,
-    /// Records shipped, summed over the mode's channels.
-    pub records: u64,
-    /// Wire bits shipped, summed over the mode's channels.
-    pub wire_bits: u64,
-}
-
 /// One run mode in the registry: how it executes, what topology it
 /// instantiates, which lifeguards it supports, how its outcome relates
 /// to the sequential `run_lba` baseline, and which benchmark trajectory
@@ -607,164 +610,9 @@ pub struct RunModeSpec {
     pub exact_wire: bool,
     /// Whether this lifeguard can run under this mode.
     pub supports: fn(&MonitorSpec) -> bool,
-    /// Runs the mode (fan-out modes use 2 consumers) and returns its
-    /// outcome. Errors are stringified so one hook type covers run and
-    /// replay errors.
-    pub run: fn(&lba_isa::Program, &MonitorSpec, &SystemConfig) -> Result<ModeOutcome, String>,
     /// Benchmark trajectory series (`BENCH_pipeline.json`) this mode
     /// owns, in committed order.
     pub bench_series: &'static [&'static str],
-}
-
-/// A scratch recording directory for the replay-backed registry hooks.
-fn replay_scratch_dir(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("lba-mode-{tag}-{}-{seq}", std::process::id()))
-}
-
-fn mode_lba(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let mut lg = (spec.make)();
-    let report = crate::cosim::run_lba(program, lg.as_mut(), config).map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_live(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let mut lg = (spec.make)();
-    let report = crate::live::run_live(program, lg.as_mut(), config).map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_lba_parallel(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let report = crate::parallel::run_lba_parallel(program, spec.make, 2, config)
-        .map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_live_parallel(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let report = crate::live_parallel::run_live_parallel(program, spec.make, 2, config)
-        .map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_remote(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let report =
-        crate::remote::run_remote(program, spec.make, 2, config).map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_epoch(
-    program: &lba_isa::Program,
-    _spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let report =
-        crate::epoch_parallel::run_taint_parallel(program, 2, config).map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_live_epoch(
-    program: &lba_isa::Program,
-    _spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let report = crate::epoch_parallel::run_live_taint_parallel(program, 2, config)
-        .map_err(|e| e.to_string())?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_replay(
-    program: &lba_isa::Program,
-    spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let dir = replay_scratch_dir(spec.name);
-    let mut recording = config.clone();
-    recording.log.record_to = Some(crate::config::RecordConfig::new(&dir));
-    let mut lg = (spec.make)();
-    let recorded = crate::cosim::run_lba(program, lg.as_mut(), &recording);
-    let replayed = recorded.map_err(|e| e.to_string()).and_then(|_| {
-        crate::replay::run_replay(&dir, spec.make, config).map_err(|e| e.to_string())
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    let report = replayed?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
-}
-
-fn mode_replay_epoch(
-    program: &lba_isa::Program,
-    _spec: &MonitorSpec,
-    config: &SystemConfig,
-) -> Result<ModeOutcome, String> {
-    let dir = replay_scratch_dir("epoch");
-    let mut recording = config.clone();
-    recording.log.record_to = Some(crate::config::RecordConfig::new(&dir));
-    let recorded = crate::epoch_parallel::run_taint_parallel(program, 2, &recording);
-    let replayed = recorded.map_err(|e| e.to_string()).and_then(|_| {
-        let mut master = lba_lifeguards::TaintCheck::new();
-        crate::epoch_parallel::run_replay_epoch(&dir, &mut master, config)
-            .map_err(|e| e.to_string())
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    let report = replayed?;
-    Ok(ModeOutcome {
-        records: report.log.records,
-        wire_bits: report.log.wire_bits,
-        findings: report.pipeline.findings,
-    })
 }
 
 fn supports_all(_spec: &MonitorSpec) -> bool {
@@ -794,7 +642,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
         exact_records: true,
         exact_wire: true,
         supports: supports_all,
-        run: mode_lba,
         bench_series: &["lba", "lba-faulted", "lba-degraded"],
     },
     RunModeSpec {
@@ -805,7 +652,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
         exact_records: true,
         exact_wire: true,
         supports: supports_all,
-        run: mode_live,
         bench_series: &["live", "live-faulted", "live-degraded"],
     },
     RunModeSpec {
@@ -816,7 +662,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
         exact_records: false,
         exact_wire: false,
         supports: supports_shardable,
-        run: mode_lba_parallel,
         bench_series: &[],
     },
     RunModeSpec {
@@ -827,7 +672,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
         exact_records: false,
         exact_wire: false,
         supports: supports_shardable,
-        run: mode_live_parallel,
         bench_series: &["live-parallel"],
     },
     RunModeSpec {
@@ -838,7 +682,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
         exact_records: false,
         exact_wire: false,
         supports: supports_shardable,
-        run: mode_remote,
         bench_series: &["remote"],
     },
     RunModeSpec {
@@ -849,7 +692,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
         exact_records: true,
         exact_wire: false,
         supports: supports_epoch,
-        run: mode_epoch,
         bench_series: &["taint-parallel"],
     },
     RunModeSpec {
@@ -860,7 +702,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
         exact_records: true,
         exact_wire: false,
         supports: supports_epoch,
-        run: mode_live_epoch,
         bench_series: &["live-taint-parallel"],
     },
     RunModeSpec {
@@ -871,7 +712,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
         exact_records: true,
         exact_wire: true,
         supports: supports_all,
-        run: mode_replay,
         bench_series: &["replay"],
     },
     RunModeSpec {
@@ -882,7 +722,6 @@ pub const RUN_MODES: [RunModeSpec; 9] = [
         exact_records: true,
         exact_wire: false,
         supports: supports_epoch,
-        run: mode_replay_epoch,
         bench_series: &[],
     },
 ];
@@ -902,11 +741,13 @@ mod tests {
                 "duplicate monitor {}",
                 monitor.name
             );
-            assert_eq!(
-                (monitor.make)().name(),
-                monitor.name,
-                "factory must build the lifeguard the row names"
-            );
+            for make in [monitor.make, monitor.make_dbi] {
+                assert_eq!(
+                    make().name(),
+                    monitor.name,
+                    "factories must build the lifeguard the row names"
+                );
+            }
         }
         // The experiment layer's LifeguardKind enumerates a subset of the
         // registry; a kind without a registry row would dodge the bench

@@ -50,7 +50,8 @@ use crate::error::LbaError;
 use crate::fanout::{drain_drag, finish_senders, join_thread, open_senders, FanOutLink};
 use crate::pipeline::{Producer, ProducerFinish, ShardedByLine};
 use crate::replay::ReplayError;
-use crate::report::{LogStats, PipelineReport, RemoteReport};
+use crate::report::PipelineReport;
+use crate::runner::RunMode;
 
 /// The lifeguard-core MemSystem index used by every worker (shadow-cost
 /// accounting only; the socket modes report no modeled clocks).
@@ -91,7 +92,7 @@ pub fn run_remote(
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     workers: usize,
     config: &SystemConfig,
-) -> Result<RemoteReport, LbaError> {
+) -> Result<PipelineReport, LbaError> {
     assert!(workers > 0, "need at least one remote worker");
     config.log.validate_framing()?;
     let window = u32::try_from(config.log.live_channel_frames()).expect("window fits u32");
@@ -134,7 +135,7 @@ pub fn run_remote(
             // Snap back out of degradation, settle fold counts, ship the
             // tail, then close each stream with its End record.
             let finish = producer.finish(&mut link);
-            finish_senders(link.senders).map(|shard_log| (finish, shard_log))
+            finish_senders(link.senders).map(|channels| (finish, channels))
         })();
 
         // Join every worker before returning (the scope re-raises the
@@ -155,27 +156,18 @@ pub fn run_remote(
                 }
             }
         }
-        let (finish, shard_log) = produced?;
+        let (finish, channels) = produced?;
         if let Some(e) = worker_err {
             return Err(e);
         }
         let findings = crate::parallel::merge_shard_findings(shard_findings);
-        Ok(RemoteReport {
-            program: program.name().to_string(),
-            workers,
-            pipeline: PipelineReport {
-                findings,
-                log: LogStats::from_channels(
-                    &shard_log,
-                    finish.capture,
-                    finish.trace.instructions(),
-                ),
-                capture: finish.capture,
-                degradation: finish.degradation,
-            },
-            trace: finish.trace,
-            shard_log,
-        })
+        Ok(PipelineReport::shipped(
+            program,
+            RunMode::Remote,
+            finish,
+            findings,
+            channels,
+        ))
     })
 }
 
@@ -266,8 +258,8 @@ mod tests {
             run_remote(&program, || LifeguardKind::LockSet.make_lba(), 2, &config).unwrap();
         let live =
             run_live_parallel(&program, || LifeguardKind::LockSet.make_lba(), 2, &config).unwrap();
-        assert_eq!(remote.shard_log.len(), live.shard_log.len());
-        for (shard, (r, l)) in remote.shard_log.iter().zip(&live.shard_log).enumerate() {
+        assert_eq!(remote.channels.len(), live.channels.len());
+        for (shard, (r, l)) in remote.channels.iter().zip(&live.channels).enumerate() {
             assert_eq!(
                 (r.records, r.frames, r.wire_bits, r.payload_bits),
                 (l.records, l.frames, l.wire_bits, l.payload_bits),

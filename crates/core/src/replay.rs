@@ -37,6 +37,7 @@ use lba_record::{stream_ids, EventRecord, SegmentReader, StreamError};
 use crate::config::SystemConfig;
 use crate::parallel::merge_shard_findings;
 use crate::report::{ReplayReport, ReplayStreamStats, SalvagedTail};
+use crate::runner::RunMode;
 
 /// The lifeguard-core MemSystem index used for shadow-cost accounting
 /// (replay reports no modeled clocks, like the live modes).
@@ -275,11 +276,12 @@ pub fn run_replay_with(
     } else {
         merge_shard_findings(shard_findings)
     };
-    Ok(ReplayReport {
-        dir: dir.display().to_string(),
+    Ok(ReplayReport::new(
+        dir,
         codec_version,
-        pipeline: ReplayReport::stream_pipeline(&streams, findings),
+        RunMode::Replay,
         streams,
         salvaged,
-    })
+        findings,
+    ))
 }

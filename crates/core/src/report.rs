@@ -1,39 +1,31 @@
-//! Execution reports.
+//! Execution reports, in three shapes chosen by what a mode measures.
 //!
-//! Every run mode's report embeds the same [`PipelineReport`] core —
-//! findings, log accounting, capture-filter ledger and degradation
-//! ledger — and adds only what its execution model genuinely measures on
-//! top (modeled clocks, per-shard wire statistics, replay stream
-//! accounting). The mode reports deref to the core, so
-//! `report.findings`, `report.log` and `report.degradation` read the
-//! same way in all of them.
+//! * [`PipelineReport`] — the core every mode produces: program, mode,
+//!   retired-instruction trace, findings, log accounting, one
+//!   [`ChannelStats`] per channel (shard, worker, or the single channel),
+//!   the epoch count, and the capture and degradation ledgers. The live
+//!   modes (`Live`, `LiveParallel`, `Remote`, `LiveEpochParallel`)
+//!   measure nothing beyond it and return it as is.
+//! * [`RunReport`] — the modeled clocks (`Lba`, `LbaParallel`,
+//!   `EpochParallel` and the `Unmonitored`/`Dbi` baselines): end-to-end,
+//!   application, per-lifeguard-core and stitch cycles plus the stall
+//!   breakdown, around the core.
+//! * [`ReplayReport`] — what an offline replay read: the recording
+//!   directory, codec version, per-stream accounting and salvaged tails,
+//!   around the core.
+//!
+//! The two wrapping shapes deref to the core, so `report.findings`,
+//! `report.log` and `report.channels` read the same way in all three.
 
 use std::fmt;
 
+use lba_isa::Program;
 use lba_lifeguard::{CaptureStats, DegradationStats, Finding};
 use lba_record::TraceStats;
 use lba_transport::ChannelStats;
 
-/// Which execution model produced a report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// No monitoring.
-    Unmonitored,
-    /// LBA: lifeguard on a second core fed by the hardware log.
-    Lba,
-    /// Valgrind-style DBI: lifeguard inline on the application core.
-    Dbi,
-}
-
-impl fmt::Display for Mode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Mode::Unmonitored => "unmonitored",
-            Mode::Lba => "lba",
-            Mode::Dbi => "dbi",
-        })
-    }
-}
+use crate::pipeline::ProducerFinish;
+use crate::runner::RunMode;
 
 /// Where the application core lost time to monitoring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,55 +73,61 @@ pub struct LogStats {
 }
 
 impl LogStats {
-    /// The single-channel accounting every unsharded mode reports: the
-    /// channel's shipped-record/frame/bit counters joined with the
-    /// capture filter's ledger, normalised per retired instruction.
-    #[must_use]
-    pub fn from_channel(stats: ChannelStats, capture: CaptureStats, instructions: u64) -> Self {
-        let instructions = instructions.max(1);
-        LogStats {
-            records: stats.records,
-            captured: capture.captured,
-            filtered: capture.range_filtered,
-            deduped: capture.deduped,
-            folded: capture.folded,
-            frames: stats.frames,
-            compressed_bits: stats.payload_bits,
-            wire_bits: stats.wire_bits,
-            bytes_per_instruction: stats.payload_bits as f64 / 8.0 / instructions as f64,
-            wire_bytes_per_instruction: stats.wire_bits as f64 / 8.0 / instructions as f64,
-        }
-    }
-
-    /// The aggregate accounting of a fan-out mode: per-channel counters
-    /// summed over shards or workers (broadcast records count once per
-    /// receiving channel), joined with the producer-side capture ledger.
+    /// The accounting of a run's channels: their shipped-record, frame and
+    /// bit counters summed (broadcast records count once per receiving
+    /// channel), joined with the producer-side capture ledger and
+    /// normalised per retired instruction.
     #[must_use]
     pub fn from_channels(stats: &[ChannelStats], capture: CaptureStats, instructions: u64) -> Self {
+        let instructions = instructions.max(1);
         let mut sum = ChannelStats::default();
         for s in stats {
             sum.records += s.records;
             sum.frames += s.frames;
             sum.payload_bits += s.payload_bits;
             sum.wire_bits += s.wire_bits;
-            sum.high_water_bits = sum.high_water_bits.max(s.high_water_bits);
         }
-        LogStats::from_channel(sum, capture, instructions)
+        LogStats {
+            records: sum.records,
+            captured: capture.captured,
+            filtered: capture.range_filtered,
+            deduped: capture.deduped,
+            folded: capture.folded,
+            frames: sum.frames,
+            compressed_bits: sum.payload_bits,
+            wire_bits: sum.wire_bits,
+            bytes_per_instruction: sum.payload_bits as f64 / 8.0 / instructions as f64,
+            wire_bytes_per_instruction: sum.wire_bits as f64 / 8.0 / instructions as f64,
+        }
     }
 }
 
-/// The mode-independent core every run report embeds: what the pipeline
-/// shipped, what capture did to it, how it degraded, and what the
-/// lifeguard(s) found. The mode reports deref here, so these fields read
-/// identically across all of them.
-#[derive(Debug, Clone, Default)]
+/// The core every run produces: which program ran under which mode, what
+/// the pipeline shipped and over which channels, what capture did to it,
+/// how it degraded, and what the lifeguard(s) found.
+#[derive(Debug, Clone)]
 pub struct PipelineReport {
+    /// Program name (empty for the replay modes: a recording does not
+    /// name the program that produced it).
+    pub program: String,
+    /// The execution model that produced the report.
+    pub mode: RunMode,
+    /// Retired-instruction statistics (empty for the replay modes, which
+    /// run no program).
+    pub trace: TraceStats,
     /// Problems the lifeguard(s) reported (merged and deduplicated in the
     /// fan-out modes).
     pub findings: Vec<Finding>,
-    /// Log-pipeline statistics (aggregated over channels in the fan-out
-    /// modes; see the mode report for per-channel detail).
+    /// Log-pipeline statistics, summed over [`channels`](Self::channels).
     pub log: LogStats,
+    /// Per-channel transport statistics, in shard or worker order: one
+    /// entry for `Lba`/`Live`, one per shard or worker in the fan-out
+    /// modes, none for the unmonitored, DBI and replay modes (a replay's
+    /// per-stream accounting is [`ReplayReport::streams`]).
+    pub channels: Vec<ChannelStats>,
+    /// Epochs the stream decomposed into and the merge stitched (0
+    /// outside the epoch modes).
+    pub epochs: u64,
     /// What the producer-side capture pass did (records captured vs.
     /// shipped, range-filtered, deduped, folded).
     pub capture: CaptureStats,
@@ -139,193 +137,194 @@ pub struct PipelineReport {
     pub degradation: DegradationStats,
 }
 
-/// Implements `Deref`/`DerefMut` from a mode report to its embedded
+impl PipelineReport {
+    /// The core of a run that shipped its log over `channels`: the
+    /// producer's trace and ledgers, with `log` summed over the channels.
+    pub(crate) fn shipped(
+        program: &Program,
+        mode: RunMode,
+        finish: ProducerFinish,
+        findings: Vec<Finding>,
+        channels: Vec<ChannelStats>,
+    ) -> Self {
+        PipelineReport {
+            program: program.name().to_string(),
+            mode,
+            log: LogStats::from_channels(&channels, finish.capture, finish.trace.instructions()),
+            trace: finish.trace,
+            findings,
+            channels,
+            epochs: 0,
+            capture: finish.capture,
+            degradation: finish.degradation,
+        }
+    }
+
+    /// The core of a run that shipped no log (the unmonitored and DBI
+    /// baselines).
+    pub(crate) fn unlogged(
+        program: &Program,
+        mode: RunMode,
+        trace: TraceStats,
+        findings: Vec<Finding>,
+    ) -> Self {
+        PipelineReport {
+            program: program.name().to_string(),
+            mode,
+            trace,
+            findings,
+            log: LogStats::default(),
+            channels: Vec::new(),
+            epochs: 0,
+            capture: CaptureStats::default(),
+            degradation: DegradationStats::default(),
+        }
+    }
+
+    /// Findings of a particular kind.
+    pub fn findings_of(
+        &self,
+        kind: lba_lifeguard::FindingKind,
+    ) -> impl Iterator<Item = &Finding> + '_ {
+        self.findings.iter().filter(move |f| f.kind == kind)
+    }
+
+    /// Everything below a report's header line: the log, degradation and
+    /// findings, each only when there is something to say.
+    fn write_details(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.log.frames > 0 {
+            write!(
+                f,
+                "  log: {} records in {} frames, {} wire bits, {:.3} B/inst on the wire",
+                self.log.records,
+                self.log.frames,
+                self.log.wire_bits,
+                self.log.wire_bytes_per_instruction,
+            )?;
+            if self.channels.len() > 1 {
+                write!(f, " across {} channels", self.channels.len())?;
+            }
+            if self.epochs > 0 {
+                write!(f, " in {} epochs", self.epochs)?;
+            }
+            writeln!(f)?;
+        }
+        let d = &self.degradation;
+        if !d.is_empty() {
+            writeln!(
+                f,
+                "  degraded: {} interval(s), {} records sampled out, {} kind-dropped, {} snapback(s)",
+                d.engagements, d.sampled_out, d.kind_dropped, d.snapbacks,
+            )?;
+        }
+        for finding in &self.findings {
+            writeln!(f, "  {finding}")?;
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Display for PipelineReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "{} [{}]: {} instructions",
+            self.program,
+            self.mode,
+            self.trace.instructions(),
+        )?;
+        self.write_details(f)
+    }
+}
+
+/// Implements `Deref`/`DerefMut` from a wrapping report to its embedded
 /// [`PipelineReport`] core (field name `pipeline`).
 macro_rules! deref_pipeline {
     ($ty:ty) => {
         impl std::ops::Deref for $ty {
-            type Target = crate::report::PipelineReport;
-            fn deref(&self) -> &crate::report::PipelineReport {
+            type Target = PipelineReport;
+            fn deref(&self) -> &PipelineReport {
                 &self.pipeline
             }
         }
         impl std::ops::DerefMut for $ty {
-            fn deref_mut(&mut self) -> &mut crate::report::PipelineReport {
+            fn deref_mut(&mut self) -> &mut PipelineReport {
                 &mut self.pipeline
             }
         }
     };
 }
-pub(crate) use deref_pipeline;
 
-/// The result of a live (two-OS-thread) run: functional findings plus real
-/// wire statistics; no modeled clocks.
+/// The result of a run with modeled clocks: the co-simulation, its
+/// sharded and epoch fan-outs, and the unmonitored/DBI baselines.
 #[derive(Debug, Clone)]
-pub struct LiveReport {
-    /// Program name.
-    pub program: String,
-    /// Retired-instruction statistics, gathered on the producer thread.
-    pub trace: TraceStats,
-    /// The shared pipeline core: findings, log statistics measured on the
-    /// real framed channel, capture ledger, degradation ledger.
+pub struct RunReport {
+    /// End-to-end time in cycles: the slowest of the application core,
+    /// the lifeguard cores and the stitch core (the application plus its
+    /// inline monitoring for DBI).
+    pub total_cycles: u64,
+    /// Application-core time including monitoring-induced stalls (the
+    /// fan-out modes model no back-pressure, so no stalls there).
+    pub app_cycles: u64,
+    /// One clock per lifeguard core: one for `Lba`, one per shard or
+    /// summarizer worker in the fan-out modes, none unmonitored. For DBI
+    /// the one entry is the inline monitoring overhead on the
+    /// application core.
+    pub lifeguard_cycles: Vec<u64>,
+    /// Merge-core clock after the last epoch summary was absorbed (0
+    /// outside the epoch mode): each stitch starts no earlier than the
+    /// previous one *and* its own summary's completion, so this is the
+    /// pipelined critical path through workers and merge.
+    pub stitch_cycles: u64,
+    /// Application stall breakdown (`Lba` only; default elsewhere).
+    pub stalls: StallBreakdown,
+    /// The shared core.
     pub pipeline: PipelineReport,
 }
 
-deref_pipeline!(LiveReport);
+deref_pipeline!(RunReport);
 
-impl fmt::Display for LiveReport {
+impl RunReport {
+    /// Slowdown of this run relative to a baseline (usually the
+    /// unmonitored run of the same program).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the baseline ran zero cycles.
+    #[must_use]
+    pub fn slowdown_vs(&self, baseline: &RunReport) -> f64 {
+        assert!(baseline.total_cycles > 0, "baseline must have run");
+        self.total_cycles as f64 / baseline.total_cycles as f64
+    }
+
+    /// The slowest lifeguard core's cycles (0 with no lifeguard core).
+    #[must_use]
+    pub fn max_lifeguard_cycles(&self) -> u64 {
+        self.lifeguard_cycles.iter().copied().max().unwrap_or(0)
+    }
+}
+
+impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{} [live]: {} instructions; log: {} records in {} frames, {:.3} B/inst on the wire",
+            "{} [{}]: {} cycles ({} instructions, CPI {:.2})",
             self.program,
+            self.mode,
+            self.total_cycles,
             self.trace.instructions(),
-            self.log.records,
-            self.log.frames,
-            self.log.wire_bytes_per_instruction,
+            self.total_cycles as f64 / self.trace.instructions().max(1) as f64,
         )?;
-        write_degradation(f, &self.degradation)?;
-        for finding in &self.findings {
-            writeln!(f, "  {finding}")?;
+        if self.stalls != StallBreakdown::default() {
+            writeln!(
+                f,
+                "  stalls: buffer {} cy, syscall {} cy ({} syscalls)",
+                self.stalls.buffer_full_cycles,
+                self.stalls.syscall_stall_cycles,
+                self.stalls.syscalls,
+            )?;
         }
-        Ok(())
-    }
-}
-
-/// Shared one-line degradation summary for report `Display` impls;
-/// silent when the controller never engaged.
-fn write_degradation(f: &mut fmt::Formatter<'_>, d: &DegradationStats) -> fmt::Result {
-    if d.is_empty() {
-        return Ok(());
-    }
-    writeln!(
-        f,
-        "  degraded: {} interval(s), {} records sampled out, {} kind-dropped, {} snapback(s)",
-        d.engagements, d.sampled_out, d.kind_dropped, d.snapbacks,
-    )
-}
-
-/// The result of a sharded live run (`run_live_parallel`): one producer
-/// thread fanning the log out to `shards` consumer threads, each decoding
-/// its own compressed frame stream. Findings are merged and deduplicated
-/// across shards; the transport statistics stay per shard, because each
-/// shard is an independent wire stream with its own predictor state. No
-/// modeled clocks — for timing, see
-/// [`ParallelReport`](crate::parallel::ParallelReport).
-#[derive(Debug, Clone)]
-pub struct LiveParallelReport {
-    /// Program name.
-    pub program: String,
-    /// Shard count (consumer threads).
-    pub shards: usize,
-    /// Retired-instruction statistics, gathered on the producer thread.
-    pub trace: TraceStats,
-    /// Per-shard transport statistics (records, frames, wire bits), in
-    /// shard order.
-    pub shard_log: Vec<ChannelStats>,
-    /// The shared pipeline core: findings merged over shards
-    /// (deduplicated on `(kind, pc, addr, tid)` — broadcast events
-    /// surface the same finding on every shard), shard-aggregated log
-    /// statistics, the producer-side capture ledger, and the degradation
-    /// ledger.
-    pub pipeline: PipelineReport,
-}
-
-deref_pipeline!(LiveParallelReport);
-
-impl LiveParallelReport {
-    /// Records carried across all shards. Broadcast records are counted
-    /// once per shard, so this is at least the retired event count.
-    #[must_use]
-    pub fn total_records(&self) -> u64 {
-        self.shard_log.iter().map(|s| s.records).sum()
-    }
-
-    /// Wire bits shipped across all shards.
-    #[must_use]
-    pub fn total_wire_bits(&self) -> u64 {
-        self.shard_log.iter().map(|s| s.wire_bits).sum()
-    }
-}
-
-impl fmt::Display for LiveParallelReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} [live x{} shards]: {} instructions; log: {} records, {} frames, {} wire bits across shards",
-            self.program,
-            self.shards,
-            self.trace.instructions(),
-            self.total_records(),
-            self.shard_log.iter().map(|s| s.frames).sum::<u64>(),
-            self.total_wire_bits(),
-        )?;
-        write_degradation(f, &self.degradation)?;
-        for finding in &self.findings {
-            writeln!(f, "  {finding}")?;
-        }
-        Ok(())
-    }
-}
-
-/// The result of a remote-workers run ([`run_remote`](crate::run_remote)):
-/// one producer thread fanning sealed frames over per-shard Unix-domain
-/// sockets to `workers` lifeguard workers, each decoding its own stream
-/// behind the credit window. Routing, frame boundaries, and the capture
-/// pass are identical to [`run_live_parallel`](crate::run_live_parallel),
-/// so each shard's wire stream — and the merged findings — match the
-/// in-process sharded live mode byte for byte; only the transport differs.
-#[derive(Debug, Clone)]
-pub struct RemoteReport {
-    /// Program name.
-    pub program: String,
-    /// Worker count (one socket stream per worker).
-    pub workers: usize,
-    /// Retired-instruction statistics, gathered on the producer thread.
-    pub trace: TraceStats,
-    /// Per-worker transport statistics (records, frames, wire bits), in
-    /// shard order, from the producer side of each socket.
-    pub shard_log: Vec<ChannelStats>,
-    /// The shared pipeline core: findings merged over workers exactly as
-    /// the sharded modes merge theirs, shard-aggregated log statistics,
-    /// the producer-side capture ledger, and the degradation ledger.
-    pub pipeline: PipelineReport,
-}
-
-deref_pipeline!(RemoteReport);
-
-impl RemoteReport {
-    /// Records carried across all worker sockets. Broadcast records are
-    /// counted once per worker, so this is at least the retired count.
-    #[must_use]
-    pub fn total_records(&self) -> u64 {
-        self.shard_log.iter().map(|s| s.records).sum()
-    }
-
-    /// Wire bits shipped across all worker sockets.
-    #[must_use]
-    pub fn total_wire_bits(&self) -> u64 {
-        self.shard_log.iter().map(|s| s.wire_bits).sum()
-    }
-}
-
-impl fmt::Display for RemoteReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} [remote x{} workers]: {} instructions; log: {} records, {} frames, {} wire bits across sockets",
-            self.program,
-            self.workers,
-            self.trace.instructions(),
-            self.total_records(),
-            self.shard_log.iter().map(|s| s.frames).sum::<u64>(),
-            self.total_wire_bits(),
-        )?;
-        write_degradation(f, &self.degradation)?;
-        for finding in &self.findings {
-            writeln!(f, "  {finding}")?;
-        }
-        Ok(())
+        self.write_details(f)
     }
 }
 
@@ -376,28 +375,34 @@ pub struct ReplayReport {
     /// replay cut away, one entry per damaged stream. Always empty under
     /// [`Strict`](crate::ReplayMode::Strict), which fails instead.
     pub salvaged: Vec<SalvagedTail>,
-    /// The shared pipeline core. Findings of the replayed lifeguard(s) —
-    /// for a multi-stream (sharded) recording, merged exactly as the
-    /// sharded run modes merge theirs, so equality with the original run
-    /// holds per mode. The log statistics aggregate the replayed streams
-    /// (no payload-bit or capture detail: the recording carries sealed
-    /// wire frames, not the capture pass that produced them).
+    /// The shared core. Findings of the replayed lifeguard(s) — for a
+    /// multi-stream (sharded) recording, merged exactly as the sharded
+    /// run modes merge theirs, so equality with the original run holds
+    /// per mode. The log statistics sum the replayed streams (no
+    /// payload-bit or capture detail: the recording carries sealed wire
+    /// frames, not the capture pass that produced them).
     pub pipeline: PipelineReport,
 }
 
 deref_pipeline!(ReplayReport);
 
 impl ReplayReport {
-    /// The stream-aggregated pipeline core of a replay: every decoded
-    /// record was "captured" as far as the replay can know, and payload
-    /// bits are unknowable (only sealed wire frames were recorded).
-    #[must_use]
-    pub fn stream_pipeline(
-        streams: &[ReplayStreamStats],
+    /// Assembles a replay's report: every decoded record was "captured"
+    /// as far as the replay can know, and payload bits are unknowable
+    /// (only sealed wire frames were recorded).
+    pub(crate) fn new(
+        dir: &std::path::Path,
+        codec_version: u32,
+        mode: RunMode,
+        streams: Vec<ReplayStreamStats>,
+        salvaged: Vec<SalvagedTail>,
         findings: Vec<Finding>,
-    ) -> PipelineReport {
+    ) -> Self {
         let records: u64 = streams.iter().map(|s| s.records).sum();
-        PipelineReport {
+        let pipeline = PipelineReport {
+            program: String::new(),
+            mode,
+            trace: TraceStats::new(),
             findings,
             log: LogStats {
                 records,
@@ -406,23 +411,18 @@ impl ReplayReport {
                 wire_bits: streams.iter().map(|s| s.wire_bits).sum(),
                 ..LogStats::default()
             },
+            channels: Vec::new(),
+            epochs: 0,
             capture: CaptureStats::default(),
             degradation: DegradationStats::default(),
+        };
+        ReplayReport {
+            dir: dir.display().to_string(),
+            codec_version,
+            streams,
+            salvaged,
+            pipeline,
         }
-    }
-}
-
-impl ReplayReport {
-    /// Records decoded across all streams.
-    #[must_use]
-    pub fn total_records(&self) -> u64 {
-        self.streams.iter().map(|s| s.records).sum()
-    }
-
-    /// Wire bits replayed across all streams.
-    #[must_use]
-    pub fn total_wire_bits(&self) -> u64 {
-        self.streams.iter().map(|s| s.wire_bits).sum()
     }
 
     /// Frames that sealed while the recording run was degraded, across
@@ -443,12 +443,11 @@ impl fmt::Display for ReplayReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "replay of {} [codec v{}]: {} stream(s), {} records, {} wire bits",
+            "{} of {} [codec v{}]: {} stream(s)",
+            self.mode,
             self.dir,
             self.codec_version,
             self.streams.len(),
-            self.total_records(),
-            self.total_wire_bits(),
         )?;
         if self.total_degraded_frames() > 0 {
             writeln!(
@@ -464,91 +463,7 @@ impl fmt::Display for ReplayReport {
                 tail.stream, tail.frames_salvaged, tail.detail
             )?;
         }
-        for finding in &self.findings {
-            writeln!(f, "  {finding}")?;
-        }
-        Ok(())
-    }
-}
-
-/// The result of one execution.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Program name.
-    pub program: String,
-    /// Execution model.
-    pub mode: Mode,
-    /// End-to-end time in cycles (for LBA: max of the two cores' clocks).
-    pub total_cycles: u64,
-    /// Application-core time including monitoring-induced stalls.
-    pub app_cycles: u64,
-    /// Lifeguard-core time (zero for unmonitored; equals the inline
-    /// monitoring overhead for DBI).
-    pub lifeguard_cycles: u64,
-    /// Retired-instruction statistics.
-    pub trace: TraceStats,
-    /// The shared pipeline core: findings, log statistics (LBA only;
-    /// default for the unmonitored and DBI baselines, which ship no log),
-    /// capture ledger and degradation ledger.
-    pub pipeline: PipelineReport,
-    /// Application stall breakdown (LBA only; default elsewhere).
-    pub stalls: StallBreakdown,
-}
-
-deref_pipeline!(RunReport);
-
-impl RunReport {
-    /// Slowdown of this run relative to a baseline (usually the
-    /// unmonitored run of the same program).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the baseline ran zero cycles.
-    #[must_use]
-    pub fn slowdown_vs(&self, baseline: &RunReport) -> f64 {
-        assert!(baseline.total_cycles > 0, "baseline must have run");
-        self.total_cycles as f64 / baseline.total_cycles as f64
-    }
-
-    /// Findings of a particular kind.
-    pub fn findings_of(
-        &self,
-        kind: lba_lifeguard::FindingKind,
-    ) -> impl Iterator<Item = &Finding> + '_ {
-        self.findings.iter().filter(move |f| f.kind == kind)
-    }
-}
-
-impl fmt::Display for RunReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} [{}]: {} cycles ({} instructions, CPI {:.2})",
-            self.program,
-            self.mode,
-            self.total_cycles,
-            self.trace.instructions(),
-            self.total_cycles as f64 / self.trace.instructions().max(1) as f64,
-        )?;
-        if self.mode == Mode::Lba {
-            writeln!(
-                f,
-                "  log: {} records in {} frames, {:.3} B/inst ({:.3} on the wire); \
-                 stalls: buffer {} cy, syscall {} cy ({} syscalls)",
-                self.log.records,
-                self.log.frames,
-                self.log.bytes_per_instruction,
-                self.log.wire_bytes_per_instruction,
-                self.stalls.buffer_full_cycles,
-                self.stalls.syscall_stall_cycles,
-                self.stalls.syscalls,
-            )?;
-        }
-        write_degradation(f, &self.degradation)?;
-        for finding in &self.findings {
-            writeln!(f, "  {finding}")?;
-        }
-        Ok(())
+        self.write_details(f)
     }
 }
 
@@ -556,22 +471,21 @@ impl fmt::Display for RunReport {
 mod tests {
     use super::*;
 
-    fn report(mode: Mode, cycles: u64) -> RunReport {
+    fn report(mode: RunMode, cycles: u64) -> RunReport {
+        let program = lba_workloads::bugs::memory_bugs();
         RunReport {
-            program: "t".into(),
-            mode,
             total_cycles: cycles,
             app_cycles: cycles,
-            lifeguard_cycles: 0,
-            trace: TraceStats::new(),
-            pipeline: PipelineReport::default(),
+            lifeguard_cycles: Vec::new(),
+            stitch_cycles: 0,
             stalls: StallBreakdown::default(),
+            pipeline: PipelineReport::unlogged(&program, mode, TraceStats::new(), Vec::new()),
         }
     }
 
     #[test]
     fn reports_deref_to_the_pipeline_core() {
-        let mut r = report(Mode::Lba, 1);
+        let mut r = report(RunMode::Lba, 1);
         r.pipeline.log.records = 7;
         assert_eq!(r.log.records, 7, "field reads go through the core");
         r.log.frames = 3; // DerefMut: writes do too
@@ -580,22 +494,22 @@ mod tests {
 
     #[test]
     fn slowdown_is_a_ratio() {
-        let base = report(Mode::Unmonitored, 100);
-        let lba = report(Mode::Lba, 390);
+        let base = report(RunMode::Unmonitored, 100);
+        let lba = report(RunMode::Lba, 390);
         assert!((lba.slowdown_vs(&base) - 3.9).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "baseline")]
     fn zero_baseline_panics() {
-        let base = report(Mode::Unmonitored, 0);
-        let lba = report(Mode::Lba, 10);
+        let base = report(RunMode::Unmonitored, 0);
+        let lba = report(RunMode::Lba, 10);
         let _ = lba.slowdown_vs(&base);
     }
 
     #[test]
     fn display_includes_mode_and_cycles() {
-        let r = report(Mode::Dbi, 1234);
+        let r = report(RunMode::Dbi, 1234);
         let s = r.to_string();
         assert!(s.contains("dbi"));
         assert!(s.contains("1234"));

@@ -8,7 +8,8 @@ use lba_lifeguard::Lifeguard;
 use lba_record::TraceStats;
 
 use crate::config::SystemConfig;
-use crate::report::{Mode, PipelineReport, RunReport, StallBreakdown};
+use crate::report::{PipelineReport, RunReport, StallBreakdown};
+use crate::runner::RunMode;
 
 /// Runs `program` with no monitoring: the paper's normalisation baseline
 /// (the denominator of every bar in Figure 2).
@@ -26,14 +27,12 @@ pub fn run_unmonitored(program: &Program, config: &SystemConfig) -> Result<RunRe
     let mut trace = TraceStats::new();
     let cycles = machine.run(&mut mem, |r| trace.observe(&r.record))?;
     Ok(RunReport {
-        program: program.name().to_string(),
-        mode: Mode::Unmonitored,
         total_cycles: cycles,
         app_cycles: cycles,
-        lifeguard_cycles: 0,
-        trace,
-        pipeline: PipelineReport::default(),
+        lifeguard_cycles: Vec::new(),
+        stitch_cycles: 0,
         stalls: StallBreakdown::default(),
+        pipeline: PipelineReport::unlogged(program, RunMode::Unmonitored, trace, Vec::new()),
     })
 }
 
@@ -75,17 +74,12 @@ pub fn run_dbi(
     monitor_cycles += engine.finish(lifeguard, &mut mem, 0, &mut findings);
 
     Ok(RunReport {
-        program: program.name().to_string(),
-        mode: Mode::Dbi,
         total_cycles: app_cycles + monitor_cycles,
         app_cycles,
-        lifeguard_cycles: monitor_cycles,
-        trace,
-        pipeline: PipelineReport {
-            findings,
-            ..PipelineReport::default()
-        },
+        lifeguard_cycles: vec![monitor_cycles],
+        stitch_cycles: 0,
         stalls: StallBreakdown::default(),
+        pipeline: PipelineReport::unlogged(program, RunMode::Dbi, trace, findings),
     })
 }
 
@@ -100,7 +94,7 @@ mod tests {
         let program = Benchmark::Bc.build();
         let report = run_unmonitored(&program, &SystemConfig::default()).unwrap();
         assert!(report.total_cycles >= report.trace.instructions());
-        assert_eq!(report.mode, Mode::Unmonitored);
+        assert_eq!(report.mode, RunMode::Unmonitored);
         assert!(report.findings.is_empty());
     }
 

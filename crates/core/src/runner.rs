@@ -16,6 +16,7 @@
 //!     .monitor(LifeguardKind::AddrCheck)
 //!     .run()?;
 //! assert!(!outcome.findings.is_empty()); // Derefs to PipelineReport
+//! assert_eq!(outcome.mode, RunMode::Live);
 //! # Ok::<(), lba::LbaError>(())
 //! ```
 //!
@@ -24,28 +25,27 @@
 //! [`pipeline::RUN_MODES`](crate::RUN_MODES) *before* running anything —
 //! sharding TaintCheck is an [`LbaError::Unsupported`] with the reason,
 //! not a wrong answer — and folds every mode's failure into [`LbaError`].
-//! The mode-shaped reports survive unchanged inside [`RunOutcome`], which
-//! [`Deref`]s to the shared [`PipelineReport`] so mode-generic callers
-//! (the bench harness, the equivalence grid) read findings and log
-//! statistics without matching on the shape.
+//! A run comes back in one of the three report shapes of
+//! [`report`](crate::report), chosen by what the mode measures: a
+//! [`RunReport`] with modeled clocks, the bare [`PipelineReport`] core
+//! for the live modes, or a [`ReplayReport`]. [`RunOutcome`] holds one
+//! of them and [`Deref`]s to the core, so mode-generic callers (the
+//! bench harness, the equivalence grid) read findings, log statistics
+//! and per-channel accounting without matching on the shape.
 
 use std::fmt;
 use std::ops::Deref;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use lba_isa::Program;
 use lba_lifeguards::TaintCheck;
 
-use crate::config::SystemConfig;
-use crate::epoch_parallel::{EpochParallelReport, LiveEpochParallelReport};
+use crate::config::{RecordConfig, SystemConfig};
 use crate::error::LbaError;
 use crate::kind::LifeguardKind;
-use crate::parallel::ParallelReport;
-use crate::pipeline::{MonitorSpec, RunModeSpec, MONITORS, RUN_MODES};
+use crate::pipeline::{MonitorSpec, RunModeSpec, TopologyKind, RUN_MODES};
 use crate::replay::ReplayMode;
-use crate::report::{
-    LiveParallelReport, LiveReport, PipelineReport, RemoteReport, ReplayReport, RunReport,
-};
+use crate::report::{PipelineReport, ReplayReport, RunReport};
 
 /// Every execution model the builder can drive: the nine registry modes
 /// (see [`RUN_MODES`]) plus the two unmonitored/inline baselines, which
@@ -103,18 +103,7 @@ impl RunMode {
     /// baseline modes that stand outside the registry.
     #[must_use]
     pub fn registry_name(self) -> Option<&'static str> {
-        match self {
-            RunMode::Lba => Some("lba"),
-            RunMode::Live => Some("live"),
-            RunMode::LbaParallel => Some("lba-parallel"),
-            RunMode::LiveParallel => Some("live-parallel"),
-            RunMode::Remote => Some("remote"),
-            RunMode::EpochParallel => Some("epoch-parallel"),
-            RunMode::LiveEpochParallel => Some("live-epoch-parallel"),
-            RunMode::Replay => Some("replay"),
-            RunMode::ReplayEpoch => Some("replay-epoch"),
-            RunMode::Unmonitored | RunMode::Dbi => None,
-        }
+        self.registry_spec().map(|spec| spec.name)
     }
 
     /// Stable name: the registry row's for registry modes, `unmonitored`
@@ -128,9 +117,10 @@ impl RunMode {
         }
     }
 
+    /// The variants are declared in [`RUN_MODES`] table order, registry
+    /// modes first, so a variant's index is its row.
     fn registry_spec(self) -> Option<&'static RunModeSpec> {
-        let name = self.registry_name()?;
-        RUN_MODES.iter().find(|m| m.name == name)
+        RUN_MODES.get(self as usize)
     }
 }
 
@@ -140,7 +130,8 @@ impl fmt::Display for RunMode {
     }
 }
 
-/// A monitor selection: anything that resolves to a [`MONITORS`] row.
+/// A monitor selection: anything that resolves to a
+/// [`MONITORS`](crate::MONITORS) row.
 /// [`LifeguardKind`] covers the paper's three; pass a
 /// [`&'static MonitorSpec`](MonitorSpec) directly for the extensions
 /// (MemProfile) or custom registry entries.
@@ -155,11 +146,7 @@ impl From<&'static MonitorSpec> for MonitorChoice {
 
 impl From<LifeguardKind> for MonitorChoice {
     fn from(kind: LifeguardKind) -> Self {
-        let spec = MONITORS
-            .iter()
-            .find(|m| m.name == kind.name())
-            .expect("every LifeguardKind has a MONITORS row");
-        MonitorChoice(spec)
+        MonitorChoice(kind.spec())
     }
 }
 
@@ -258,19 +245,12 @@ impl<'a> Run<'a> {
                     monitor: monitor.name.to_string(),
                 });
             }
-        }
-        let fan_out = matches!(
-            self.mode,
-            RunMode::LbaParallel
-                | RunMode::LiveParallel
-                | RunMode::Remote
-                | RunMode::EpochParallel
-                | RunMode::LiveEpochParallel
-        );
-        if fan_out && self.workers == 0 {
-            return Err(LbaError::InvalidRequest {
-                detail: format!("mode `{}` needs at least one worker", self.mode),
-            });
+            let fan_out = matches!(spec.topology, TopologyKind::Sharded | TopologyKind::Epoch);
+            if fan_out && self.workers == 0 {
+                return Err(LbaError::InvalidRequest {
+                    detail: format!("mode `{}` needs at least one worker", self.mode),
+                });
+            }
         }
         let default_config;
         let config = match self.config {
@@ -288,110 +268,132 @@ impl<'a> Run<'a> {
                 ),
             })
         };
-        match self.mode {
-            RunMode::Lba => {
-                let mut lifeguard = (monitor.make)();
-                let report = crate::cosim::run_lba(self.program, lifeguard.as_mut(), config)?;
-                Ok(RunOutcome::Run(report))
-            }
-            RunMode::Live => {
-                let mut lifeguard = (monitor.make)();
-                let report = crate::live::run_live(self.program, lifeguard.as_mut(), config)?;
-                Ok(RunOutcome::Live(report))
-            }
-            RunMode::LbaParallel => {
-                let report = crate::parallel::run_lba_parallel(
-                    self.program,
-                    monitor.make,
-                    self.workers,
-                    config,
-                )?;
-                Ok(RunOutcome::Parallel(report))
-            }
-            RunMode::LiveParallel => {
-                let report = crate::live_parallel::run_live_parallel(
-                    self.program,
-                    monitor.make,
-                    self.workers,
-                    config,
-                )?;
-                Ok(RunOutcome::LiveParallel(report))
-            }
-            RunMode::Remote => {
-                let report =
-                    crate::remote::run_remote(self.program, monitor.make, self.workers, config)?;
-                Ok(RunOutcome::Remote(report))
-            }
-            RunMode::EpochParallel => {
-                // The supports check admitted only epoch-capable monitors,
-                // and TaintCheck is the one epoch summariser implemented.
-                let mut master = TaintCheck::new();
-                let report = crate::epoch_parallel::run_epoch_parallel(
-                    self.program,
-                    &mut master,
-                    self.workers,
-                    config,
-                )?;
-                Ok(RunOutcome::Epoch(report))
-            }
+        let (program, workers) = (self.program, self.workers);
+        // The supports check admitted only epoch-capable monitors to the
+        // epoch modes, and TaintCheck is the one epoch summariser
+        // implemented.
+        Ok(match self.mode {
+            RunMode::Lba => RunOutcome::Run(crate::cosim::run_lba(
+                program,
+                (monitor.make)().as_mut(),
+                config,
+            )?),
+            RunMode::Live => RunOutcome::Live(crate::live::run_live(
+                program,
+                (monitor.make)().as_mut(),
+                config,
+            )?),
+            RunMode::LbaParallel => RunOutcome::Run(crate::parallel::run_lba_parallel(
+                program,
+                monitor.make,
+                workers,
+                config,
+            )?),
+            RunMode::LiveParallel => RunOutcome::Live(crate::live_parallel::run_live_parallel(
+                program,
+                monitor.make,
+                workers,
+                config,
+            )?),
+            RunMode::Remote => RunOutcome::Live(crate::remote::run_remote(
+                program,
+                monitor.make,
+                workers,
+                config,
+            )?),
+            RunMode::EpochParallel => RunOutcome::Run(crate::epoch_parallel::run_epoch_parallel(
+                program,
+                &mut TaintCheck::new(),
+                workers,
+                config,
+            )?),
             RunMode::LiveEpochParallel => {
-                let mut master = TaintCheck::new();
-                let report = crate::epoch_parallel::run_live_epoch_parallel(
-                    self.program,
-                    &mut master,
-                    self.workers,
+                RunOutcome::Live(crate::epoch_parallel::run_live_epoch_parallel(
+                    program,
+                    &mut TaintCheck::new(),
+                    workers,
                     config,
-                )?;
-                Ok(RunOutcome::LiveEpoch(report))
+                )?)
             }
-            RunMode::Replay => {
-                let dir = replay_dir(self.replay_from)?;
-                let report =
-                    crate::replay::run_replay_with(dir, monitor.make, config, self.replay_mode)?;
-                Ok(RunOutcome::Replay(report))
-            }
-            RunMode::ReplayEpoch => {
-                let dir = replay_dir(self.replay_from)?;
-                let mut master = TaintCheck::new();
-                let report = crate::epoch_parallel::run_replay_epoch(dir, &mut master, config)?;
-                Ok(RunOutcome::Replay(report))
-            }
-            RunMode::Unmonitored => {
-                let report = crate::run::run_unmonitored(self.program, config)?;
-                Ok(RunOutcome::Run(report))
-            }
-            RunMode::Dbi => {
-                let mut lifeguard = (monitor.make)();
-                let report = crate::run::run_dbi(self.program, lifeguard.as_mut(), config)?;
-                Ok(RunOutcome::Run(report))
-            }
-        }
+            RunMode::Replay => RunOutcome::Replay(crate::replay::run_replay_with(
+                replay_dir(self.replay_from)?,
+                monitor.make,
+                config,
+                self.replay_mode,
+            )?),
+            RunMode::ReplayEpoch => RunOutcome::Replay(crate::epoch_parallel::run_replay_epoch(
+                replay_dir(self.replay_from)?,
+                &mut TaintCheck::new(),
+                config,
+            )?),
+            RunMode::Unmonitored => RunOutcome::Run(crate::run::run_unmonitored(program, config)?),
+            RunMode::Dbi => RunOutcome::Run(crate::run::run_dbi(
+                program,
+                (monitor.make_dbi)().as_mut(),
+                config,
+            )?),
+        })
     }
 }
 
-/// The mode-shaped report a [`Run`] produced, behind one type.
+/// Runs `mode` over `program` the way the cross-mode harnesses drive
+/// every registry mode: 2 workers, and a replay mode first records
+/// `program` into `scratch` with the stream topology it replays — a
+/// [`RunMode::Lba`] recording for [`RunMode::Replay`], a 2-worker
+/// [`RunMode::EpochParallel`] one for [`RunMode::ReplayEpoch`]. The
+/// recording is removed once replayed; other modes leave `scratch`
+/// untouched.
+///
+/// # Errors
+///
+/// Whatever the recording run or the requested run reports.
+pub fn record_then_run(
+    program: &Program,
+    mode: RunMode,
+    monitor: impl Into<MonitorChoice>,
+    config: &SystemConfig,
+    scratch: &Path,
+) -> Result<RunOutcome, LbaError> {
+    let monitor = monitor.into();
+    let request = |mode| {
+        Run::new(program)
+            .mode(mode)
+            .monitor(monitor)
+            .workers(2)
+            .config(config)
+    };
+    let recorder = match mode {
+        RunMode::Replay => RunMode::Lba,
+        RunMode::ReplayEpoch => RunMode::EpochParallel,
+        _ => return request(mode).run(),
+    };
+    let _ = std::fs::remove_dir_all(scratch);
+    let mut recording = config.clone();
+    recording.log.record_to = Some(RecordConfig::new(scratch));
+    let replayed = request(recorder)
+        .config(&recording)
+        .run()
+        .and_then(|_| request(mode).replay_from(scratch).run());
+    let _ = std::fs::remove_dir_all(scratch);
+    replayed
+}
+
+/// The report a [`Run`] produced, in the shape its mode measures.
 ///
 /// Every variant [`Deref`]s to the shared [`PipelineReport`], so
-/// mode-generic code reads `outcome.findings` / `outcome.log` directly;
-/// match on the variant when the mode-specific fields (clocks, shard
-/// logs, salvage ledger) matter.
+/// mode-generic code reads `outcome.findings`, `outcome.log` and
+/// `outcome.channels` directly; match on the variant when the modeled
+/// clocks or the replay's stream ledger matter.
 #[derive(Debug)]
 pub enum RunOutcome {
-    /// Modeled co-simulation or baseline ([`RunMode::Lba`],
-    /// [`RunMode::Unmonitored`], [`RunMode::Dbi`]).
+    /// A mode with modeled clocks: [`RunMode::Lba`],
+    /// [`RunMode::LbaParallel`], [`RunMode::EpochParallel`] and the
+    /// [`RunMode::Unmonitored`]/[`RunMode::Dbi`] baselines.
     Run(RunReport),
-    /// [`RunMode::Live`].
-    Live(LiveReport),
-    /// [`RunMode::LbaParallel`].
-    Parallel(ParallelReport),
-    /// [`RunMode::LiveParallel`].
-    LiveParallel(LiveParallelReport),
-    /// [`RunMode::Remote`].
-    Remote(RemoteReport),
-    /// [`RunMode::EpochParallel`].
-    Epoch(EpochParallelReport),
-    /// [`RunMode::LiveEpochParallel`].
-    LiveEpoch(LiveEpochParallelReport),
+    /// A live mode — [`RunMode::Live`], [`RunMode::LiveParallel`],
+    /// [`RunMode::Remote`], [`RunMode::LiveEpochParallel`] — which
+    /// measures nothing beyond the core.
+    Live(PipelineReport),
     /// [`RunMode::Replay`] and [`RunMode::ReplayEpoch`].
     Replay(ReplayReport),
 }
@@ -403,11 +405,6 @@ impl Deref for RunOutcome {
         match self {
             RunOutcome::Run(r) => r,
             RunOutcome::Live(r) => r,
-            RunOutcome::Parallel(r) => r,
-            RunOutcome::LiveParallel(r) => r,
-            RunOutcome::Remote(r) => r,
-            RunOutcome::Epoch(r) => r,
-            RunOutcome::LiveEpoch(r) => r,
             RunOutcome::Replay(r) => r,
         }
     }
@@ -415,25 +412,9 @@ impl Deref for RunOutcome {
 
 impl fmt::Display for RunOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The modeled fan-out reports define no Display of their own;
-        // summarise them from the shared pipeline fields.
-        let summary = |f: &mut fmt::Formatter<'_>, mode: &str, report: &PipelineReport| {
-            writeln!(
-                f,
-                "[{mode}] {} finding(s); {} records in {} frames",
-                report.findings.len(),
-                report.log.records,
-                report.log.frames,
-            )
-        };
         match self {
             RunOutcome::Run(r) => r.fmt(f),
             RunOutcome::Live(r) => r.fmt(f),
-            RunOutcome::Parallel(r) => summary(f, "lba-parallel", r),
-            RunOutcome::LiveParallel(r) => r.fmt(f),
-            RunOutcome::Remote(r) => r.fmt(f),
-            RunOutcome::Epoch(r) => summary(f, "epoch-parallel", r),
-            RunOutcome::LiveEpoch(r) => summary(f, "live-epoch-parallel", r),
             RunOutcome::Replay(r) => r.fmt(f),
         }
     }
@@ -442,6 +423,7 @@ impl fmt::Display for RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::MONITORS;
     use lba_lifeguard::FindingKind;
     use lba_workloads::bugs;
 
@@ -469,56 +451,73 @@ mod tests {
         let memory = bugs::memory_bugs();
         let tainted = bugs::tainted_syscall();
         let config = SystemConfig::default();
-        let recording =
-            std::env::temp_dir().join(format!("lba-runner-grid-{}", std::process::id()));
+        let scratch = std::env::temp_dir().join(format!("lba-runner-grid-{}", std::process::id()));
         for mode in RunMode::ALL {
             // The epoch modes support only TaintCheck, which needs the
             // tainted workload; everything else is exercised with
             // AddrCheck here (the grid in tests/equivalence.rs sweeps the
             // full monitor set).
             let (program, monitor) = match mode {
-                RunMode::EpochParallel | RunMode::LiveEpochParallel => {
+                RunMode::EpochParallel | RunMode::LiveEpochParallel | RunMode::ReplayEpoch => {
                     (&tainted, LifeguardKind::TaintCheck)
                 }
                 _ => (&memory, LifeguardKind::AddrCheck),
             };
-            let mut request = Run::new(program)
-                .mode(mode)
-                .monitor(monitor)
-                .config(&config);
-            if matches!(mode, RunMode::Replay | RunMode::ReplayEpoch) {
-                // Record with a matching topology first, then point the
-                // builder at the recording.
-                let mut rec = config.clone();
-                rec.log.record_to = Some(crate::config::RecordConfig::new(&recording));
-                let _ = std::fs::remove_dir_all(&recording);
-                if mode == RunMode::ReplayEpoch {
-                    Run::new(&tainted)
-                        .mode(RunMode::EpochParallel)
-                        .monitor(LifeguardKind::TaintCheck)
-                        .config(&rec)
-                        .run()
-                        .expect("recording run");
-                    request = request.monitor(LifeguardKind::TaintCheck);
-                } else {
-                    Run::new(&memory)
-                        .mode(RunMode::Lba)
-                        .monitor(LifeguardKind::AddrCheck)
-                        .config(&rec)
-                        .run()
-                        .expect("recording run");
-                }
-                request = request.replay_from(&recording);
-            }
-            let outcome = request.run().unwrap_or_else(|e| panic!("{mode}: {e}"));
+            let outcome = record_then_run(program, mode, monitor, &config, &scratch)
+                .unwrap_or_else(|e| panic!("{mode}: {e}"));
             if mode != RunMode::Unmonitored {
                 assert!(
                     !outcome.findings.is_empty(),
                     "{mode} must surface the planted bugs"
                 );
             }
+            assert_eq!(outcome.mode, mode);
+            // One channel per consumer: the single-consumer modes have
+            // one, the fan-out modes one per worker (2 here), and the
+            // baselines and replays ship over none.
+            let channels = match mode.registry_spec().map(|spec| spec.topology) {
+                Some(TopologyKind::Single) => 1,
+                Some(TopologyKind::Sharded | TopologyKind::Epoch) => 2,
+                Some(TopologyKind::Replay) | None => 0,
+            };
+            assert_eq!(outcome.channels.len(), channels, "{mode}: channels");
+            if channels > 0 {
+                let records: u64 = outcome.channels.iter().map(|c| c.records).sum();
+                let wire_bits: u64 = outcome.channels.iter().map(|c| c.wire_bits).sum();
+                assert_eq!(records, outcome.log.records, "{mode}: records");
+                assert_eq!(wire_bits, outcome.log.wire_bits, "{mode}: wire bits");
+            }
         }
-        let _ = std::fs::remove_dir_all(&recording);
+    }
+
+    #[test]
+    fn builder_dbi_runs_the_dbi_configured_lifeguard() {
+        // Figure 2's DBI bars build each lifeguard with its DBI
+        // configuration (software LockSet: no memoisation); the builder's
+        // DBI mode must time the same lifeguard.
+        let config = SystemConfig::default();
+        for program in [lba_workloads::Benchmark::Zchaff.build(), bugs::data_race()] {
+            for spec in &MONITORS {
+                let built = Run::new(&program)
+                    .mode(RunMode::Dbi)
+                    .monitor(spec)
+                    .config(&config)
+                    .run()
+                    .unwrap();
+                let RunOutcome::Run(built) = built else {
+                    panic!("DBI runs report modeled clocks");
+                };
+                let direct =
+                    crate::run::run_dbi(&program, (spec.make_dbi)().as_mut(), &config).unwrap();
+                assert_eq!(
+                    built.total_cycles,
+                    direct.total_cycles,
+                    "{}/{}",
+                    program.name(),
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]
@@ -574,7 +573,8 @@ mod tests {
             .iter()
             .any(|f| f.kind == FindingKind::DoubleFree));
         assert!(outcome.log.records > 0);
-        assert!(matches!(outcome, RunOutcome::Remote(_)));
+        assert!(matches!(outcome, RunOutcome::Live(_)));
+        assert_eq!(outcome.mode, RunMode::Remote);
         assert!(outcome.to_string().contains("remote"));
     }
 }

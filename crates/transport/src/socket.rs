@@ -99,6 +99,12 @@ const CREDIT: u8 = 0x06;
 /// length + checksum).
 const FRAME_HEADER_BYTES: usize = 1 + 8 + 4 + 4 + 4;
 
+/// What a frame header's length may make the consumer allocate before the
+/// payload arrives. Real frames are a few cache lines (a 256-record frame
+/// of raw records is under 8 KiB), so each is read into one exact
+/// allocation.
+const PAYLOAD_PREALLOC_BYTES: u32 = 64 << 10;
+
 /// How long a credit wait blocks per read before re-checking the stall
 /// clock — the socket analogue of the live channel's spin-then-yield.
 const CREDIT_POLL: Duration = Duration::from_millis(5);
@@ -654,6 +660,26 @@ impl<W: WireStream> SocketSource<W> {
         }
     }
 
+    /// Reads a `len`-byte frame payload. `len` comes from the peer, so at
+    /// most [`PAYLOAD_PREALLOC_BYTES`] are allocated up front and the rest
+    /// grows with the bytes that actually arrive: a header that lies about
+    /// its length costs what the wire carried, not 4 GiB. A short read is
+    /// a torn wire.
+    fn read_payload(&mut self, len: u32) -> Result<Vec<u8>, SocketError> {
+        let mut payload = Vec::with_capacity(len.min(PAYLOAD_PREALLOC_BYTES) as usize);
+        (&mut self.stream)
+            .take(u64::from(len))
+            .read_to_end(&mut payload)
+            .map_err(|e| SocketError::io(&self.endpoint, e))?;
+        if payload.len() != len as usize {
+            return Err(SocketError::Torn {
+                endpoint: self.endpoint.clone(),
+                frames: self.frames,
+            });
+        }
+        Ok(payload)
+    }
+
     fn corrupt(&self, detail: impl Into<String>) -> SocketError {
         SocketError::Corrupt {
             endpoint: self.endpoint.clone(),
@@ -673,10 +699,9 @@ impl<W: WireStream> SocketSource<W> {
                 let mut header = [0u8; FRAME_HEADER_BYTES - 1];
                 self.read_wire(&mut header)?;
                 let records = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-                let len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes")) as usize;
+                let len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
                 let sum = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-                let mut payload = vec![0u8; len];
-                self.read_wire(&mut payload)?;
+                let payload = self.read_payload(len)?;
                 if payload_checksum(&payload) != sum {
                     return Err(self.corrupt("frame payload checksum mismatch"));
                 }

@@ -100,7 +100,7 @@
 //! | `lba-lifeguards` | the paper's four lifeguards + `TaintCheck`'s symbolic epoch summaries (`taint_summary`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` over a `pipeline::ConsumerTopology`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode behind one validated entry point (the mode-shaped `run_*` functions remain as direct shims), the `LbaError` hierarchy folding every layer's failures, experiments, the shared `PipelineReport` core every report derefs to, and the adaptive `CaptureController` closing the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` over a `pipeline::ConsumerTopology`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode behind one validated entry point (the mode-shaped `run_*` functions remain as direct shims), the `LbaError` hierarchy folding every layer's failures, experiments, the three report shapes (the `PipelineReport` core the live modes return as is, `RunReport` adding modeled clocks, `ReplayReport` adding the replay's stream ledger), and the adaptive `CaptureController` closing the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -108,9 +108,15 @@
 //! All of them drive through the unified [`Run`] builder —
 //! `Run::new(&program).mode(RunMode::Live).monitor(LifeguardKind::AddrCheck).run()`
 //! — which validates the mode/monitor pairing against the registry
-//! capability flags before running and returns a [`RunOutcome`] that
-//! derefs to the shared [`PipelineReport`]. The mode-shaped free
-//! functions below remain as direct entry points:
+//! capability flags before running. A run reports in one of three
+//! shapes, chosen by what its mode measures: the [`PipelineReport`] core
+//! (program, mode, trace, findings, log, one [`ChannelStats`] per
+//! channel, epochs, capture and degradation ledgers), which the live
+//! modes return as is; a [`RunReport`] adding the modeled clocks
+//! (end-to-end, application, one clock per lifeguard core, stitch,
+//! stalls); or a [`ReplayReport`] adding the replay's per-stream ledger
+//! and salvaged tails. [`RunOutcome`] holds one of them and derefs to
+//! the core. The free functions below remain as direct entry points:
 //!
 //! * [`run_unmonitored`] — the baseline: the program alone on one core;
 //! * [`run_lba`] — the proposed system: capture → compression → framed log
@@ -197,11 +203,13 @@
 //!     .config(&config)
 //!     .run()?;
 //!
-//! // RunOutcome derefs to the shared PipelineReport...
+//! // RunOutcome derefs to the PipelineReport core every mode shares...
 //! assert!(!monitored.findings.is_empty(), "the planted bugs are caught");
-//! // ...and the mode-shaped report (with its clocks) is inside the variant.
+//! assert_eq!(monitored.mode, RunMode::Lba);
+//! assert_eq!(monitored.channels.len(), 1, "one log channel");
+//! // ...and the modeled modes' RunReport adds the clocks.
 //! let (RunOutcome::Run(base), RunOutcome::Run(mon)) = (&baseline, &monitored) else {
-//!     unreachable!("Unmonitored and Lba produce RunReports");
+//!     unreachable!("Unmonitored and Lba report modeled clocks");
 //! };
 //! assert!(mon.slowdown_vs(base) > 1.0);
 //! # Ok::<(), lba::LbaError>(())
@@ -211,15 +219,15 @@
 
 pub use lba_core::{
     epoch_parallel, experiment, live_parallel, parallel, pipeline, remote, replay, report, runner,
-    table, CaptureFilter, CaptureStats, ChannelStats, EpochParallelReport, IdempotencyClass,
-    LifeguardKind, LiveEpochParallelReport, LiveParallelReport, LiveReport, LogConfig, LogStats,
-    Mode, PipelineReport, RecordConfig, RemoteReport, ReplayError, ReplayReport, ReplayStreamStats,
-    RunError, RunReport, StallBreakdown, SystemConfig, WindowSpec,
+    table, CaptureFilter, CaptureStats, ChannelStats, IdempotencyClass, LifeguardKind, LogConfig,
+    LogStats, PipelineReport, RecordConfig, ReplayError, ReplayReport, ReplayStreamStats, RunError,
+    RunReport, StallBreakdown, SystemConfig, WindowSpec,
 };
 // The unified entry point: one builder for every execution model, the
-// outcome type every mode-shaped report folds into, and the error
-// hierarchy every layer's failures convert into.
-pub use lba_core::{LbaError, MonitorChoice, Run, RunMode, RunOutcome};
+// outcome type holding one of the three report shapes, the
+// record-then-replay runner the cross-mode harnesses share, and the
+// error hierarchy every layer's failures convert into.
+pub use lba_core::{record_then_run, LbaError, MonitorChoice, Run, RunMode, RunOutcome};
 // The staged capture pipeline and the run-mode/monitor registry: every
 // `run_*` entry point above is a thin composition of `Producer` over a
 // `ConsumerTopology`, and MONITORS/RUN_MODES are the single source the
@@ -231,9 +239,9 @@ pub use lba_core::{
     run_taint_parallel, run_unmonitored,
 };
 pub use lba_core::{
-    ConsumerTopology, EpochRouted, Execution, ModeOutcome, MonitorSpec, Producer, ProducerFinish,
-    ProducerLink, ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind,
-    MONITORS, RUN_MODES,
+    ConsumerTopology, EpochRouted, Execution, MonitorSpec, Producer, ProducerFinish, ProducerLink,
+    ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS,
+    RUN_MODES,
 };
 // Adaptive capture under back-pressure: the controller and its knobs, the
 // per-lifeguard degradation contracts, the transport load signal, the
@@ -283,11 +291,11 @@ mod facade_smoke {
             &config,
         )
         .expect("parallel run completes");
-        assert_eq!(sharded.shards, 2);
+        assert_eq!(sharded.channels.len(), 2);
 
         let epoch = crate::run_taint_parallel(&program, 2, &config).expect("epoch run completes");
-        assert_eq!(epoch.workers, 2);
-        let live_epoch: crate::LiveEpochParallelReport =
+        assert_eq!(epoch.channels.len(), 2);
+        let live_epoch: crate::PipelineReport =
             crate::run_live_taint_parallel(&program, 2, &config).expect("live epoch completes");
         assert_eq!(live_epoch.findings, epoch.findings);
 
@@ -310,7 +318,8 @@ mod facade_smoke {
             .run()
             .expect("remote run completes");
         assert_eq!(remote.findings, live_sharded.findings);
-        assert!(matches!(remote, crate::RunOutcome::Remote(_)));
+        assert!(matches!(remote, crate::RunOutcome::Live(_)));
+        assert_eq!(remote.mode, crate::RunMode::Remote);
 
         let baseline = crate::run_unmonitored(&program, &config).expect("baseline runs");
         let kind = crate::LifeguardKind::AddrCheck;
@@ -338,7 +347,7 @@ mod facade_smoke {
         let replay: crate::ReplayReport =
             crate::run_replay(&dir, || kind.make_lba(), &config).expect("replay runs");
         assert_eq!(replay.findings, recorded.findings);
-        assert_eq!(replay.total_wire_bits(), recorded.log.wire_bits);
+        assert_eq!(replay.log.wire_bits, recorded.log.wire_bits);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

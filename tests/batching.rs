@@ -118,17 +118,14 @@ fn assert_parallel_paths_equivalent(
         "app_cycles: {what}"
     );
     assert_eq!(
-        batched.shard_cycles, per_record.shard_cycles,
-        "shard_cycles: {what}"
+        batched.lifeguard_cycles, per_record.lifeguard_cycles,
+        "lifeguard_cycles: {what}"
     );
     assert_eq!(
         batched.total_cycles, per_record.total_cycles,
         "total_cycles: {what}"
     );
-    assert_eq!(
-        batched.shard_log, per_record.shard_log,
-        "shard stats: {what}"
-    );
+    assert_eq!(batched.channels, per_record.channels, "shard stats: {what}");
 }
 
 proptest! {

@@ -283,7 +283,7 @@ proptest! {
                 let clean = run_live(&program, lg.as_mut(), &clean_config).unwrap();
                 let mut lg = make_kind(kind_idx);
                 let degraded = run_live(&program, lg.as_mut(), &degraded_config).unwrap();
-                (clean.pipeline.findings, degraded.pipeline.findings, degraded.pipeline.degradation)
+                (clean.findings, degraded.findings, degraded.degradation)
             }
             2 => {
                 let clean =
@@ -299,7 +299,7 @@ proptest! {
                 let degraded =
                     run_live_parallel(&program, || make_kind(kind_idx), 3, &degraded_config)
                         .unwrap();
-                (clean.pipeline.findings, degraded.pipeline.findings, degraded.pipeline.degradation)
+                (clean.findings, degraded.findings, degraded.degradation)
             }
         };
         prop_assert_eq!(degraded_findings, clean_findings);

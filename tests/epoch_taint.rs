@@ -61,8 +61,8 @@ proptest! {
                 .expect("live epoch run");
             prop_assert_eq!(&report.findings, &seq.findings);
             prop_assert_eq!(master.tainted_bytes_introduced(), seq_tainted);
-            prop_assert_eq!(report.total_records(), seq.log.records);
-            prop_assert_eq!(report.worker_log.len(), workers);
+            prop_assert_eq!(report.log.records, seq.log.records);
+            prop_assert_eq!(report.channels.len(), workers);
         } else {
             let mut master = TaintCheck::new();
             let report = run_epoch_parallel(&program, &mut master, workers, &config)
@@ -71,7 +71,7 @@ proptest! {
             prop_assert_eq!(master.tainted_bytes_introduced(), seq_tainted);
             prop_assert_eq!(report.log.records, seq.log.records);
             prop_assert_eq!(report.log.captured, seq.log.records);
-            prop_assert_eq!(report.worker_cycles.len(), workers);
+            prop_assert_eq!(report.lifeguard_cycles.len(), workers);
         }
     }
 }
@@ -125,7 +125,7 @@ fn modeled_and_live_epoch_modes_agree_with_each_other() {
     let live = run_live_epoch_parallel(&program, &mut live_master, 3, &config).expect("live run");
     assert_eq!(modeled.findings, live.findings);
     assert_eq!(modeled.epochs, live.epochs);
-    assert_eq!(modeled.log.records, live.total_records());
+    assert_eq!(modeled.log.records, live.log.records);
     assert_eq!(
         modeled_master.tainted_bytes_introduced(),
         live_master.tainted_bytes_introduced()
@@ -153,10 +153,10 @@ fn recorded_epoch_run_replays_byte_identical() {
         let mut master = TaintCheck::new();
         let (findings, workers) = if live {
             let r = run_live_epoch_parallel(&program, &mut master, 2, &config).expect("live run");
-            (r.pipeline.findings, r.workers)
+            (r.findings, r.channels.len())
         } else {
             let r = run_epoch_parallel(&program, &mut master, 2, &config).expect("modeled run");
-            (r.pipeline.findings, r.workers)
+            (r.pipeline.findings, r.pipeline.channels.len())
         };
         assert_eq!(findings, seq.findings);
 

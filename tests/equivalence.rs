@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use lba::parallel::run_lba_parallel;
-use lba::{run_dbi, run_lba, run_live, LifeguardKind, SystemConfig};
+use lba::{record_then_run, run_dbi, run_lba, run_live, LifeguardKind, Run, RunMode, SystemConfig};
 use lba_workloads::{bugs, Benchmark};
 
 fn config() -> SystemConfig {
@@ -200,18 +200,24 @@ proptest! {
             _ => bugs::data_race(),
         };
         let config = config();
-        let baseline_mode = lba::RUN_MODES
-            .iter()
-            .find(|m| m.name == "lba")
-            .expect("the sequential baseline is registered");
+        let scratch = std::env::temp_dir().join(format!("lba-grid-{}-{case}", std::process::id()));
         for monitor in &lba::MONITORS {
-            let baseline =
-                (baseline_mode.run)(&program, monitor, &config).expect("baseline runs");
+            let baseline = Run::new(&program)
+                .mode(RunMode::Lba)
+                .monitor(monitor)
+                .config(&config)
+                .run()
+                .expect("baseline runs");
             for mode in &lba::RUN_MODES {
                 if !(mode.supports)(monitor) {
                     continue;
                 }
-                let outcome = (mode.run)(&program, monitor, &config).expect("mode runs");
+                let run_mode = RunMode::ALL
+                    .into_iter()
+                    .find(|m| m.registry_name() == Some(mode.name))
+                    .expect("every registry row has a RunMode");
+                let outcome = record_then_run(&program, run_mode, monitor, &config, &scratch)
+                    .expect("mode runs");
                 let what = format!("{}/{} on {}", mode.name, monitor.name, program.name());
                 if mode.merged_findings {
                     prop_assert_eq!(
@@ -230,14 +236,14 @@ proptest! {
                 }
                 if mode.exact_records {
                     prop_assert_eq!(
-                        outcome.records, baseline.records,
+                        outcome.log.records, baseline.log.records,
                         "{}: record accounting diverges from the baseline",
                         what
                     );
                 }
                 if mode.exact_wire {
                     prop_assert_eq!(
-                        outcome.wire_bits, baseline.wire_bits,
+                        outcome.log.wire_bits, baseline.log.wire_bits,
                         "{}: wire accounting diverges from the baseline",
                         what
                     );

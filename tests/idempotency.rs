@@ -136,7 +136,7 @@ fn assert_parallel_filtered_equivalent(
         filtered.trace.instructions(),
         "capture sees the whole stream: {what}"
     );
-    for (idx, (l, m)) in live.shard_log.iter().zip(&filtered.shard_log).enumerate() {
+    for (idx, (l, m)) in live.channels.iter().zip(&filtered.channels).enumerate() {
         assert_eq!(
             (l.records, l.frames, l.payload_bits, l.wire_bits),
             (m.records, m.frames, m.payload_bits, m.wire_bits),
@@ -144,8 +144,11 @@ fn assert_parallel_filtered_equivalent(
         );
     }
     if window == 0 {
-        assert_eq!(filtered.shard_cycles, base.shard_cycles, "cycles: {what}");
-        assert_eq!(filtered.shard_log, base.shard_log, "shard stats: {what}");
+        assert_eq!(
+            filtered.lifeguard_cycles, base.lifeguard_cycles,
+            "cycles: {what}"
+        );
+        assert_eq!(filtered.channels, base.channels, "shard stats: {what}");
     }
 }
 
@@ -309,10 +312,10 @@ fn dedup_shrinks_records_wire_bits_and_lifeguard_time() {
         filtered.log.wire_bits
     );
     assert!(
-        filtered.lifeguard_cycles < base.lifeguard_cycles,
+        filtered.max_lifeguard_cycles() < base.max_lifeguard_cycles(),
         "lifeguard cycles: {} -> {}",
-        base.lifeguard_cycles,
-        filtered.lifeguard_cycles
+        base.max_lifeguard_cycles(),
+        filtered.max_lifeguard_cycles()
     );
     assert_eq!(filtered.findings, base.findings);
 }

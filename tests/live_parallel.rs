@@ -34,8 +34,8 @@ fn live_parallel_matches_modeled_parallel_on_bug_workloads() {
             let what = format!("{kind} / {} / {shards} shards", program.name());
             assert_eq!(live.findings, modeled.findings, "findings: {what}");
             assert!(!live.findings.is_empty(), "bug workload finds bugs: {what}");
-            assert_eq!(live.shard_log.len(), shards);
-            for (idx, (l, m)) in live.shard_log.iter().zip(&modeled.shard_log).enumerate() {
+            assert_eq!(live.channels.len(), shards);
+            for (idx, (l, m)) in live.channels.iter().zip(&modeled.channels).enumerate() {
                 assert_eq!(
                     wire_view(l),
                     wire_view(m),
@@ -60,7 +60,7 @@ fn live_parallel_matches_modeled_parallel_on_a_clean_benchmark() {
         run_lba_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 3, &config).unwrap();
     assert!(live.findings.is_empty());
     assert_eq!(live.findings, modeled.findings);
-    for (l, m) in live.shard_log.iter().zip(&modeled.shard_log) {
+    for (l, m) in live.channels.iter().zip(&modeled.channels) {
         assert_eq!(wire_view(l), wire_view(m));
         assert!(l.frames > 1, "gzip fills multiple frames per shard");
     }
@@ -81,7 +81,7 @@ fn live_parallel_consumption_granularities_agree() {
     let batched = run_live_parallel(&program, make, 3, &batched_cfg).unwrap();
     let per_record = run_live_parallel(&program, make, 3, &per_record_cfg).unwrap();
     assert_eq!(batched.findings, per_record.findings);
-    for (b, p) in batched.shard_log.iter().zip(&per_record.shard_log) {
+    for (b, p) in batched.channels.iter().zip(&per_record.channels) {
         assert_eq!(wire_view(b), wire_view(p));
     }
 }

@@ -45,10 +45,10 @@ proptest! {
                 "{}: findings diverge over the socket", &what
             );
             prop_assert_eq!(
-                remote.shard_log.len(), live.shard_log.len(),
+                remote.channels.len(), live.channels.len(),
                 "{}: shard count diverges", &what
             );
-            for (shard, (r, l)) in remote.shard_log.iter().zip(&live.shard_log).enumerate() {
+            for (shard, (r, l)) in remote.channels.iter().zip(&live.channels).enumerate() {
                 prop_assert_eq!(
                     (r.records, r.frames, r.wire_bits, r.payload_bits),
                     (l.records, l.frames, l.wire_bits, l.payload_bits),
@@ -78,8 +78,9 @@ fn builder_remote_mode_is_the_same_run() {
         .expect("builder runs clean");
     assert_eq!(built.findings, direct.findings);
     assert_eq!(built.log.wire_bits, direct.log.wire_bits);
-    let RunOutcome::Remote(report) = &built else {
-        panic!("RunMode::Remote produced a non-remote outcome");
+    let RunOutcome::Live(report) = &built else {
+        panic!("RunMode::Remote produced a non-live outcome");
     };
-    assert_eq!(report.workers, 2);
+    assert_eq!(report.mode, RunMode::Remote);
+    assert_eq!(report.channels.len(), 2);
 }
