@@ -5,8 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use lba::experiment;
-use lba::parallel::run_lba_parallel;
-use lba::{run_lba, LifeguardKind, SystemConfig};
+use lba::{LifeguardKind, Run, RunMode, SystemConfig};
 use lba_bench as render;
 use lba_workloads::Benchmark;
 
@@ -49,8 +48,11 @@ fn bench_ablations(c: &mut Criterion) {
         config.log.decoupled = decoupled;
         group.bench_function(format!("dispatch/{label}"), |b| {
             b.iter(|| {
-                let mut lg = LifeguardKind::AddrCheck.make_lba();
-                run_lba(&program, lg.as_mut(), &config).expect("runs")
+                Run::new(&program)
+                    .monitor(LifeguardKind::AddrCheck)
+                    .config(&config)
+                    .run()
+                    .expect("runs")
             })
         });
     }
@@ -60,13 +62,13 @@ fn bench_ablations(c: &mut Criterion) {
         let config = SystemConfig::default();
         group.bench_function(format!("parallel/{shards}_shards"), |b| {
             b.iter(|| {
-                run_lba_parallel(
-                    &zchaff,
-                    || LifeguardKind::LockSet.make_lba(),
-                    shards,
-                    &config,
-                )
-                .expect("runs")
+                Run::new(&zchaff)
+                    .mode(RunMode::LbaParallel)
+                    .monitor(LifeguardKind::LockSet)
+                    .workers(shards)
+                    .config(&config)
+                    .run()
+                    .expect("runs")
             })
         });
     }

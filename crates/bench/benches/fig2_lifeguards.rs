@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use lba::experiment;
-use lba::{run_dbi, run_lba, run_unmonitored, LifeguardKind, SystemConfig};
+use lba::{LifeguardKind, Run, RunMode, SystemConfig};
 use lba_bench::{render_fig2, render_summary};
 use lba_workloads::Benchmark;
 
@@ -35,24 +35,19 @@ fn bench_modes(c: &mut Criterion) {
     let mut baselines_done = std::collections::HashSet::new();
     for (benchmark, kind) in pairs {
         let program = benchmark.build();
+        let request = |mode| Run::new(&program).mode(mode).monitor(kind).config(&config);
         // Benchmark IDs must be unique: gzip appears with two lifeguards,
         // but its unmonitored baseline only needs timing once.
         if baselines_done.insert(benchmark) {
             group.bench_function(format!("unmonitored/{benchmark}"), |b| {
-                b.iter(|| run_unmonitored(&program, &config).expect("runs"))
+                b.iter(|| request(RunMode::Unmonitored).run().expect("runs"))
             });
         }
         group.bench_function(format!("lba/{}/{benchmark}", kind.name()), |b| {
-            b.iter(|| {
-                let mut lg = kind.make_lba();
-                run_lba(&program, lg.as_mut(), &config).expect("runs")
-            })
+            b.iter(|| request(RunMode::Lba).run().expect("runs"))
         });
         group.bench_function(format!("dbi/{}/{benchmark}", kind.name()), |b| {
-            b.iter(|| {
-                let mut lg = kind.make_dbi();
-                run_dbi(&program, lg.as_mut(), &config).expect("runs")
-            })
+            b.iter(|| request(RunMode::Dbi).run().expect("runs"))
         });
     }
     group.finish();

@@ -1,10 +1,10 @@
-//! End-to-end pipeline throughput: events/sec through `run_lba` and
-//! `run_live` for all four lifeguards, with the pre-batching per-record
-//! consumption path (`LogConfig::batch_dispatch = false`) kept callable as
-//! the baseline; the sharded `run_live_parallel` series across shard
-//! counts for the lifeguards that support address interleaving; plus an
-//! isolated consumption-path pair that contrasts `pop_record`+`deliver`
-//! against `pop_frame`+`deliver_batch` directly.
+//! End-to-end pipeline throughput: events/sec through `RunMode::Lba` and
+//! `RunMode::Live` for all four lifeguards, with the pre-batching
+//! per-record consumption path (`LogConfig::batch_dispatch = false`) kept
+//! callable as the baseline; the sharded `RunMode::LiveParallel` series
+//! across shard counts for the lifeguards that support address
+//! interleaving; plus an isolated consumption-path pair that contrasts
+//! `pop_record`+`deliver` against `pop_frame`+`deliver_batch` directly.
 //!
 //! `cargo bench -p lba-bench --bench pipeline` prints a best-of-N summary
 //! with the batched-over-per-record speedups before the Criterion samples;
@@ -13,9 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use lba::{
-    run_lba, run_live, run_live_parallel, run_live_taint_parallel, run_taint_parallel, SystemConfig,
-};
+use lba::{LifeguardKind, Run, RunMode, RunOutcome, SystemConfig};
 use lba_bench::pipeline::{self, PipelineRow, EPOCH_WORKER_COUNTS, SHARD_COUNTS};
 use lba_workloads::Benchmark;
 
@@ -55,34 +53,20 @@ fn bench_pipeline(c: &mut Criterion) {
             "{mode}_{lifeguard}_{}",
             if *batched { "batched" } else { "per_record" }
         );
-        let make = pipeline::lifeguards()
+        let monitor = pipeline::lifeguards()
             .into_iter()
-            .find(|(name, _)| name == lifeguard)
-            .expect("known lifeguard")
-            .1;
-        let cfg = config(*batched);
-        let program = &program;
-        if *mode == "lba" {
-            group.bench_function(id, |b| {
-                b.iter(|| {
-                    let mut lg = make();
-                    run_lba(program, lg.as_mut(), &cfg)
-                        .expect("runs")
-                        .log
-                        .records
-                })
-            });
+            .find(|m| m.name == *lifeguard)
+            .expect("known lifeguard");
+        let mode = if *mode == "lba" {
+            RunMode::Lba
         } else {
-            group.bench_function(id, |b| {
-                b.iter(|| {
-                    let mut lg = make();
-                    run_live(program, lg.as_mut(), &cfg)
-                        .expect("runs")
-                        .log
-                        .records
-                })
-            });
-        }
+            RunMode::Live
+        };
+        let cfg = config(*batched);
+        let request = || Run::new(&program).mode(mode).monitor(monitor).config(&cfg);
+        group.bench_function(id, |b| {
+            b.iter(|| request().run().expect("runs").log.records)
+        });
     }
     group.finish();
 
@@ -92,19 +76,22 @@ fn bench_pipeline(c: &mut Criterion) {
     group
         .sample_size(samples)
         .throughput(Throughput::Elements(records));
-    for (name, make) in pipeline::sharded_lifeguards() {
+    for monitor in pipeline::sharded_lifeguards() {
         for shards in SHARD_COUNTS {
             let cfg = config(true);
-            let program = &program;
-            group.bench_function(format!("{name}_x{shards}"), |b| {
+            let request = || {
+                Run::new(&program)
+                    .mode(RunMode::LiveParallel)
+                    .monitor(monitor)
+                    .workers(shards)
+                    .config(&cfg)
+            };
+            group.bench_function(format!("{}_x{shards}", monitor.name), |b| {
                 b.iter(|| {
                     // Retired records, not per-shard shipped records: the
                     // group's Throughput::Elements is the single-stream
                     // count, and broadcasts are transport duplication.
-                    run_live_parallel(program, make, shards, &cfg)
-                        .expect("runs")
-                        .trace
-                        .instructions()
+                    request().run().expect("runs").trace.instructions()
                 })
             });
         }
@@ -122,17 +109,25 @@ fn bench_pipeline(c: &mut Criterion) {
         .throughput(Throughput::Elements(records));
     for workers in EPOCH_WORKER_COUNTS {
         let cfg = config(true);
-        let program = &program;
+        let request = |mode| {
+            Run::new(&program)
+                .mode(mode)
+                .monitor(LifeguardKind::TaintCheck)
+                .workers(workers)
+                .config(&cfg)
+        };
         group.bench_function(format!("modeled_x{workers}"), |b| {
-            b.iter(|| {
-                run_taint_parallel(program, workers, &cfg)
-                    .expect("runs")
-                    .total_cycles
-            })
+            b.iter(
+                || match request(RunMode::EpochParallel).run().expect("runs") {
+                    RunOutcome::Run(report) => report.total_cycles,
+                    _ => unreachable!("the modeled epoch mode reports modeled clocks"),
+                },
+            )
         });
         group.bench_function(format!("live_x{workers}"), |b| {
             b.iter(|| {
-                run_live_taint_parallel(program, workers, &cfg)
+                request(RunMode::LiveEpochParallel)
+                    .run()
                     .expect("runs")
                     .log
                     .records
@@ -148,21 +143,15 @@ fn bench_pipeline(c: &mut Criterion) {
     group
         .sample_size(samples)
         .throughput(Throughput::Elements(records));
-    for (name, make) in pipeline::idempotent_lifeguards()
+    for monitor in pipeline::idempotent_lifeguards()
         .into_iter()
-        .filter(|(name, _)| *name == "addrcheck" || *name == "memprofile")
+        .filter(|m| m.name == "addrcheck" || m.name == "memprofile")
     {
         let mut cfg = config(true);
         cfg.log.idempotency_window = pipeline::IDEMPOTENT_WINDOW;
-        let program = &program;
-        group.bench_function(format!("lba_{name}_window"), |b| {
-            b.iter(|| {
-                let mut lg = make();
-                run_lba(program, lg.as_mut(), &cfg)
-                    .expect("runs")
-                    .log
-                    .records
-            })
+        let request = || Run::new(&program).monitor(monitor).config(&cfg);
+        group.bench_function(format!("lba_{}_window", monitor.name), |b| {
+            b.iter(|| request().run().expect("runs").log.records)
         });
     }
     group.finish();

@@ -3,8 +3,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use lba::{run_unmonitored, SystemConfig};
+use lba::{Run, RunMode, RunOutcome};
+use lba_isa::Program;
 use lba_workloads::Benchmark;
+
+fn unmonitored(program: &Program) -> RunOutcome {
+    Run::new(program)
+        .mode(RunMode::Unmonitored)
+        .run()
+        .expect("runs")
+}
 
 fn bench_substrate(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate");
@@ -12,20 +20,13 @@ fn bench_substrate(c: &mut Criterion) {
 
     // Raw machine throughput (instructions simulated per second).
     let program = Benchmark::Bc.build();
-    let insts = {
-        let report = run_unmonitored(&program, &SystemConfig::default()).expect("runs");
-        report.trace.instructions()
-    };
+    let insts = unmonitored(&program).trace.instructions();
     group.throughput(Throughput::Elements(insts));
-    group.bench_function("machine_steps_bc", |b| {
-        b.iter(|| run_unmonitored(&program, &SystemConfig::default()).expect("runs"))
-    });
+    group.bench_function("machine_steps_bc", |b| b.iter(|| unmonitored(&program)));
 
     // Cache-hostile case.
     let mcf = Benchmark::Mcf.build();
-    group.bench_function("machine_steps_mcf", |b| {
-        b.iter(|| run_unmonitored(&mcf, &SystemConfig::default()).expect("runs"))
-    });
+    group.bench_function("machine_steps_mcf", |b| b.iter(|| unmonitored(&mcf)));
     group.finish();
 }
 

@@ -16,42 +16,34 @@
 use std::time::Instant;
 
 use lba::{
-    run_lba, run_live, run_live_parallel, run_live_taint_parallel, run_remote, run_replay,
-    run_taint_parallel, AdaptiveConfig, FaultProfile, RecordConfig, SystemConfig,
+    AdaptiveConfig, FaultProfile, LifeguardKind, MonitorChoice, MonitorSpec, RecordConfig, Run,
+    RunMode, RunOutcome, SystemConfig,
 };
 use lba_cache::{MemSystem, MemSystemConfig};
 use lba_cpu::Machine;
-use lba_lifeguard::{DispatchEngine, Lifeguard};
+use lba_lifeguard::DispatchEngine;
 use lba_lifeguards::AddrCheck;
 use lba_record::EventRecord;
 use lba_transport::{LogChannel, ModeledFrameChannel};
 use lba_workloads::Benchmark;
 
-/// A lifeguard factory used by the measurement matrix.
-pub type LifeguardFactory = fn() -> Box<dyn Lifeguard>;
-
-/// Every lifeguard as (name, factory) pairs, derived from the
-/// [`lba::MONITORS`] registry so a new lifeguard lands in the bench
-/// matrix by adding its registry row — `LifeguardKind` covers the
-/// paper's three; the pipeline bench also drives MemProfile.
+/// Every lifeguard's [`lba::MONITORS`] row, so a new lifeguard lands in
+/// the bench matrix by adding its registry row — `LifeguardKind` covers
+/// the paper's three; the pipeline bench also drives MemProfile.
 #[must_use]
-pub fn lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
-    lba::MONITORS.iter().map(|m| (m.name, m.make)).collect()
+pub fn lifeguards() -> Vec<&'static MonitorSpec> {
+    lba::MONITORS.iter().collect()
 }
 
 /// The lifeguards the sharded (parallel) modes support — those whose
 /// registry row declares address-interleaved sharding sound (per-address
 /// state only). TaintCheck is excluded: its register state forms a
 /// sequential dependence chain through every instruction (same soundness
-/// note as the modeled `run_lba_parallel`); it gets its own
+/// note as the modeled `RunMode::LbaParallel`); it gets its own
 /// "taint-parallel" epoch series instead (see [`epoch_speedup`]).
 #[must_use]
-pub fn sharded_lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
-    lba::MONITORS
-        .iter()
-        .filter(|m| m.shardable)
-        .map(|m| (m.name, m.make))
-        .collect()
+pub fn sharded_lifeguards() -> Vec<&'static MonitorSpec> {
+    lba::MONITORS.iter().filter(|m| m.shardable).collect()
 }
 
 /// Shard counts the live-parallel series measures.
@@ -61,7 +53,7 @@ pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 pub const EPOCH_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Modeled-cycle speedup the 4-worker epoch-parallel TaintCheck row must
-/// show over the sequential `run_lba` TaintCheck row — the trajectory
+/// show over the sequential `RunMode::Lba` TaintCheck row — the trajectory
 /// gate for the epoch mode's reason to exist.
 pub const EPOCH_SPEEDUP_FLOOR: f64 = 1.5;
 
@@ -74,10 +66,10 @@ pub const IDEMPOTENT_WINDOW: usize = 4096;
 /// from the contracts (today: AddrCheck, LockSet, MemProfile; TaintCheck
 /// declares `IdempotencyClass::None` and stays out).
 #[must_use]
-pub fn idempotent_lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
+pub fn idempotent_lifeguards() -> Vec<&'static MonitorSpec> {
     lifeguards()
         .into_iter()
-        .filter(|(_, make)| make().idempotency().dedupes())
+        .filter(|m| (m.make)().idempotency().dedupes())
         .collect()
 }
 
@@ -134,6 +126,28 @@ fn best_of<F: FnMut() -> (u64, u64)>(n: usize, mut body: F) -> (u64, u64, f64) {
     (volume.0, volume.1, best)
 }
 
+/// One run of `mode` through the public builder; gzip runs clean under
+/// every mode and lifeguard the matrix drives.
+fn run<'a>(
+    program: &'a lba_isa::Program,
+    mode: RunMode,
+    monitor: impl Into<MonitorChoice<'a>>,
+    workers: usize,
+    cfg: &'a SystemConfig,
+) -> RunOutcome {
+    let request = Run::new(program).mode(mode).monitor(monitor);
+    let outcome = request.workers(workers).config(cfg).run();
+    outcome.expect("gzip runs clean")
+}
+
+/// The modeled end-to-end clock, for the modes that have one.
+fn modeled_clock(outcome: &RunOutcome) -> u64 {
+    match outcome {
+        RunOutcome::Run(report) => report.total_cycles,
+        RunOutcome::Live(_) | RunOutcome::Replay(_) => 0,
+    }
+}
+
 fn config(batched: bool) -> SystemConfig {
     let mut config = SystemConfig::default();
     config.log.batch_dispatch = batched;
@@ -146,97 +160,135 @@ fn windowed_config(window: usize) -> SystemConfig {
     config
 }
 
-/// Runs the full measurement matrix: both execution modes, all four
-/// lifeguards on gzip, batched and per-record, the live-parallel series
-/// across shard counts, the filtered-vs-unfiltered idempotency series,
-/// plus the isolated consumption-path pair. `samples` is the best-of-N
-/// count per cell.
+/// Runs the full measurement matrix: both single-lifeguard modes, all
+/// four lifeguards on gzip, batched and per-record; the sharded live and
+/// remote series across shard counts; the epoch-parallel TaintCheck
+/// series; the filtered-vs-unfiltered idempotency series; the replay and
+/// degraded series; plus the isolated consumption-path pair. `samples`
+/// is the best-of-N count per cell.
+///
+/// * `live-parallel` and `remote` run every shardable lifeguard at each
+///   [`SHARD_COUNTS`] entry: the same sharded pipeline, the remote
+///   shards' frames crossing a real Unix-domain socket under the credit
+///   window instead of an in-process queue. The trajectory gate asserts
+///   each remote row's wire bits byte-identical to the matching
+///   live-parallel row: the socket must move the exact same stream,
+///   paying only wall clock for the kernel round-trips.
+/// * `taint-parallel` and `live-taint-parallel` run TaintCheck, the one
+///   lifeguard the sharded modes cannot split, parallelised by
+///   time-slicing instead (`RunMode::EpochParallel` /
+///   `RunMode::LiveEpochParallel`): whole epochs to workers computing
+///   symbolic transfer-function summaries, a merge core stitching them in
+///   order. The worker count rides the `shards` column. The modeled
+///   series' `modeled_cycles` carries its end-to-end clock, and the
+///   trajectory gate demands the 4-worker row beat the sequential
+///   `lba`/`taintcheck` row by [`EPOCH_SPEEDUP_FLOOR`] on that column
+///   (wall clock cannot show scaling on a 1-vCPU host; the deterministic
+///   clock model can); the live series is wall-clock only.
+/// * The filtered series runs every dedup-participating lifeguard
+///   through both single-lifeguard modes with the capture-side
+///   idempotency window on. The unfiltered counterpart rows are the
+///   window-0 cells of the main matrix; these rows show the same workload
+///   shipping fewer records and wire bits (and, on real parallel
+///   hardware, spending less lifeguard time).
 #[must_use]
 pub fn measure_pipeline(samples: usize) -> Vec<PipelineRow> {
     let program = Benchmark::Gzip.build();
+    let cell = |series, mode, monitor, workers, cfg: &SystemConfig| {
+        measure_cell(series, mode, monitor, workers, cfg, &program, samples)
+    };
+    let single = [RunMode::Lba, RunMode::Live];
     let mut rows = measure_consume(samples);
-    for (name, make) in lifeguards() {
+    for monitor in lifeguards() {
         for batched in [true, false] {
-            let cfg = config(batched);
-            rows.push(measure_mode("lba", name, &make, &cfg, &program, samples));
-            rows.push(measure_mode("live", name, &make, &cfg, &program, samples));
+            for mode in single {
+                rows.push(cell(mode.name(), mode, monitor, 1, &config(batched)));
+            }
         }
     }
-    rows.extend(measure_live_parallel(samples));
-    rows.extend(measure_remote(samples));
-    rows.extend(measure_taint_parallel(samples));
-    rows.extend(measure_idempotent(samples));
+    for mode in [RunMode::LiveParallel, RunMode::Remote] {
+        for monitor in sharded_lifeguards() {
+            for shards in SHARD_COUNTS {
+                rows.push(cell(mode.name(), mode, monitor, shards, &config(true)));
+            }
+        }
+    }
+    let epoch = [
+        ("taint-parallel", RunMode::EpochParallel),
+        ("live-taint-parallel", RunMode::LiveEpochParallel),
+    ];
+    for (series, mode) in epoch {
+        for monitor in lba::MONITORS.iter().filter(|m| m.epoch) {
+            for workers in EPOCH_WORKER_COUNTS {
+                rows.push(cell(series, mode, monitor, workers, &config(true)));
+            }
+        }
+    }
+    for monitor in idempotent_lifeguards() {
+        for mode in single {
+            rows.push(cell(
+                mode.name(),
+                mode,
+                monitor,
+                1,
+                &windowed_config(IDEMPOTENT_WINDOW),
+            ));
+        }
+    }
     rows.extend(measure_replay(samples));
     rows.extend(measure_degraded(samples));
     rows
 }
 
-/// The epoch-parallel TaintCheck series: the one lifeguard the sharded
-/// modes cannot split, parallelised by time-slicing instead — whole
-/// epochs to workers computing symbolic transfer-function summaries, a
-/// merge core stitching them in order (`run_taint_parallel` /
-/// `run_live_taint_parallel`). The worker count rides the `shards`
-/// column. Two sub-series:
-///
-/// * `taint-parallel` — the modeled mode; `modeled_cycles` carries its
-///   end-to-end clock, and the trajectory gate demands the 4-worker row
-///   beat the sequential `lba`/`taintcheck` row by
-///   [`EPOCH_SPEEDUP_FLOOR`] on that column (wall clock cannot show
-///   scaling on a 1-vCPU host; the deterministic clock model can);
-/// * `live-taint-parallel` — the same pipeline on real threads,
-///   wall-clock only.
-#[must_use]
-pub fn measure_taint_parallel(samples: usize) -> Vec<PipelineRow> {
-    let program = Benchmark::Gzip.build();
-    let cfg = config(true);
-    let mut rows = Vec::new();
-    for workers in EPOCH_WORKER_COUNTS {
-        let mut modeled_cycles = 0;
-        let (records, wire_bits, wall) = best_of(samples, || {
-            let report = run_taint_parallel(&program, workers, &cfg).expect("gzip runs clean");
-            modeled_cycles = report.total_cycles;
-            (report.log.records, report.log.wire_bits)
-        });
-        rows.push(PipelineRow {
-            mode: "taint-parallel",
-            lifeguard: "taintcheck",
-            benchmark: "gzip",
-            batched: true,
-            shards: workers,
-            window: 0,
-            records,
-            wire_bits,
-            wall_seconds: wall,
-            events_per_sec: records as f64 / wall,
-            modeled_cycles,
-            sampled_out_fraction: 0.0,
-        });
+/// One cell of the matrix: best-of-`samples` runs of `monitor` over
+/// `program` in `mode` with `workers` shards or epoch workers, reported
+/// as a `series` row. The events/sec numerator is *captured* (retired)
+/// events, not shipped records: a capture filter shrinks the log, not the
+/// workload, and a sharded mode ships broadcast records once per shard —
+/// transport duplication, not new events, which would manufacture
+/// phantom speedup — so the rate stays comparable across filtered,
+/// unfiltered and sharded rows. For the same reason a sharded row
+/// reports the retired count as its `records`.
+fn measure_cell(
+    series: &'static str,
+    mode: RunMode,
+    monitor: &'static MonitorSpec,
+    workers: usize,
+    cfg: &SystemConfig,
+    program: &lba_isa::Program,
+    samples: usize,
+) -> PipelineRow {
+    let sharded = matches!(mode, RunMode::LiveParallel | RunMode::Remote);
+    let (mut captured, mut modeled_cycles) = (0, 0);
+    let (records, wire_bits, wall) = best_of(samples, || {
+        let report = run(program, mode, monitor, workers, cfg);
+        captured = report.log.captured;
+        modeled_cycles = modeled_clock(&report);
+        let shipped = if sharded {
+            captured
+        } else {
+            report.log.records
+        };
+        (shipped, report.log.wire_bits)
+    });
+    PipelineRow {
+        mode: series,
+        lifeguard: monitor.name,
+        benchmark: "gzip",
+        batched: cfg.log.batch_dispatch,
+        shards: workers,
+        window: cfg.log.idempotency_window,
+        records,
+        wire_bits,
+        wall_seconds: wall,
+        events_per_sec: captured as f64 / wall,
+        modeled_cycles,
+        sampled_out_fraction: 0.0,
     }
-    for workers in EPOCH_WORKER_COUNTS {
-        let (records, wire_bits, wall) = best_of(samples, || {
-            let report = run_live_taint_parallel(&program, workers, &cfg).expect("gzip runs clean");
-            (report.log.records, report.log.wire_bits)
-        });
-        rows.push(PipelineRow {
-            mode: "live-taint-parallel",
-            lifeguard: "taintcheck",
-            benchmark: "gzip",
-            batched: true,
-            shards: workers,
-            window: 0,
-            records,
-            wire_bits,
-            wall_seconds: wall,
-            events_per_sec: records as f64 / wall,
-            modeled_cycles: 0,
-            sampled_out_fraction: 0.0,
-        });
-    }
-    rows
 }
 
 /// The offline-replay series: gzip's wire stream is recorded once through
-/// the flight recorder (`LogConfig::record_to`), then `run_replay`
+/// the flight recorder (`LogConfig::record_to`), then `RunMode::Replay`
 /// re-drives the recording through each lifeguard at host speed — decode
 /// and dispatch only, no application simulation. One recording, four
 /// analyses: the paper's retroactive-monitoring pitch as a throughput
@@ -249,14 +301,25 @@ pub fn measure_replay(samples: usize) -> Vec<PipelineRow> {
     std::fs::remove_dir_all(&dir).ok();
     let mut record_cfg = SystemConfig::default();
     record_cfg.log.record_to = Some(RecordConfig::new(&dir));
-    let mut recorder = AddrCheck::new();
-    let recorded = run_lba(&program, &mut recorder, &record_cfg).expect("gzip runs clean");
+    let recorded = run(
+        &program,
+        RunMode::Lba,
+        LifeguardKind::AddrCheck,
+        1,
+        &record_cfg,
+    );
 
     let cfg = SystemConfig::default();
     let mut rows = Vec::new();
-    for (name, make) in lifeguards() {
+    for monitor in lifeguards() {
         let (records, wire_bits, wall) = best_of(samples, || {
-            let replay = run_replay(&dir, make, &cfg).expect("recording replays clean");
+            let replay = Run::new(&program)
+                .mode(RunMode::Replay)
+                .monitor(monitor)
+                .config(&cfg)
+                .replay_from(&dir)
+                .run()
+                .expect("recording replays clean");
             assert_eq!(
                 replay.log.wire_bits, recorded.log.wire_bits,
                 "replay wire accounting must be byte-identical to the recording"
@@ -265,7 +328,7 @@ pub fn measure_replay(samples: usize) -> Vec<PipelineRow> {
         });
         rows.push(PipelineRow {
             mode: "replay",
-            lifeguard: name,
+            lifeguard: monitor.name,
             benchmark: "gzip",
             batched: true,
             shards: 1,
@@ -288,10 +351,10 @@ pub fn measure_replay(samples: usize) -> Vec<PipelineRow> {
 /// MemProfile; TaintCheck declares `DegradationPolicy::none()` and
 /// stays out).
 #[must_use]
-pub fn degradable_lifeguards() -> Vec<(&'static str, LifeguardFactory)> {
+pub fn degradable_lifeguards() -> Vec<&'static MonitorSpec> {
     lifeguards()
         .into_iter()
-        .filter(|(_, make)| !make().degradation().is_none())
+        .filter(|m| !(m.make)().degradation().is_none())
         .collect()
 }
 
@@ -340,46 +403,35 @@ pub fn fault_config(mode: &str, adaptive: bool) -> SystemConfig {
 pub fn measure_degraded(samples: usize) -> Vec<PipelineRow> {
     let program = Benchmark::Gzip.build();
     let mut rows = Vec::new();
-    for (name, make) in degradable_lifeguards() {
-        for mode in ["lba", "live"] {
+    for monitor in degradable_lifeguards() {
+        for mode in [RunMode::Lba, RunMode::Live] {
             for adaptive in [false, true] {
-                let cfg = fault_config(mode, adaptive);
+                let cfg = fault_config(mode.name(), adaptive);
                 let mut captured = 0;
                 let mut sampled_out = 0;
                 let mut modeled_cycles = 0;
                 let (records, wire_bits, wall) = best_of(samples, || {
-                    let mut lg = make();
-                    let (log, degradation) = if mode == "lba" {
-                        let report = run_lba(&program, lg.as_mut(), &cfg).expect("gzip runs clean");
-                        modeled_cycles = report.total_cycles;
-                        (report.log, report.pipeline.degradation)
-                    } else {
-                        let report =
-                            run_live(&program, lg.as_mut(), &cfg).expect("gzip runs clean");
-                        (report.log, report.degradation)
-                    };
+                    let report = run(&program, mode, monitor, 1, &cfg);
+                    modeled_cycles = modeled_clock(&report);
+                    let degradation = &report.degradation;
                     assert_eq!(
                         degradation.is_empty(),
                         !adaptive,
-                        "{mode}/{name}: the controller must engage exactly when configured"
+                        "{mode}/{}: the controller must engage exactly when configured",
+                        monitor.name
                     );
-                    captured = log.captured + degradation.removed();
+                    captured = report.log.captured + degradation.removed();
                     sampled_out = degradation.sampled_out;
-                    (log.records, log.wire_bits)
+                    (report.log.records, report.log.wire_bits)
                 });
                 rows.push(PipelineRow {
-                    mode: if adaptive {
-                        if mode == "lba" {
-                            "lba-degraded"
-                        } else {
-                            "live-degraded"
-                        }
-                    } else if mode == "lba" {
-                        "lba-faulted"
-                    } else {
-                        "live-faulted"
+                    mode: match (mode, adaptive) {
+                        (RunMode::Lba, true) => "lba-degraded",
+                        (RunMode::Lba, false) => "lba-faulted",
+                        (_, true) => "live-degraded",
+                        (_, false) => "live-faulted",
                     },
-                    lifeguard: name,
+                    lifeguard: monitor.name,
                     benchmark: "gzip",
                     batched: true,
                     shards: 1,
@@ -412,146 +464,6 @@ pub fn degraded_speedup(rows: &[PipelineRow], mode: &str, lifeguard: &str) -> Op
     Some(degraded.events_per_sec / faulted.events_per_sec)
 }
 
-/// One `run_lba`/`run_live` cell. The events/sec numerator is *captured*
-/// (retired) events, not shipped records: a capture filter shrinks the
-/// log, not the workload, so the rate stays comparable across filtered
-/// and unfiltered rows. With the window off the two counts coincide.
-fn measure_mode(
-    mode: &'static str,
-    name: &'static str,
-    make: &LifeguardFactory,
-    cfg: &SystemConfig,
-    program: &lba_isa::Program,
-    samples: usize,
-) -> PipelineRow {
-    let mut captured = 0;
-    let mut modeled_cycles = 0;
-    let (records, wire_bits, wall) = best_of(samples, || {
-        let mut lg = make();
-        let log = if mode == "lba" {
-            let report = run_lba(program, lg.as_mut(), cfg).expect("gzip runs clean");
-            modeled_cycles = report.total_cycles;
-            report.log
-        } else {
-            run_live(program, lg.as_mut(), cfg)
-                .expect("gzip runs clean")
-                .log
-        };
-        captured = log.captured;
-        (log.records, log.wire_bits)
-    });
-    PipelineRow {
-        mode,
-        lifeguard: name,
-        benchmark: "gzip",
-        batched: cfg.log.batch_dispatch,
-        shards: 1,
-        window: cfg.log.idempotency_window,
-        records,
-        wire_bits,
-        wall_seconds: wall,
-        events_per_sec: captured as f64 / wall,
-        modeled_cycles,
-        sampled_out_fraction: 0.0,
-    }
-}
-
-/// The filtered-vs-unfiltered series: every dedup-participating lifeguard
-/// through both single-lifeguard modes with the capture-side idempotency
-/// window on. The unfiltered counterpart rows are the window-0 cells the
-/// main matrix already measures; these rows show the same workload
-/// shipping fewer records and wire bits (and, on real parallel hardware,
-/// spending less lifeguard time).
-#[must_use]
-pub fn measure_idempotent(samples: usize) -> Vec<PipelineRow> {
-    let program = Benchmark::Gzip.build();
-    let cfg = windowed_config(IDEMPOTENT_WINDOW);
-    let mut rows = Vec::new();
-    for (name, make) in idempotent_lifeguards() {
-        rows.push(measure_mode("lba", name, &make, &cfg, &program, samples));
-        rows.push(measure_mode("live", name, &make, &cfg, &program, samples));
-    }
-    rows
-}
-
-/// The live-parallel series: events/sec through `run_live_parallel` on
-/// gzip for every supported lifeguard at each shard count. Events are
-/// *retired records* — the same work whatever the shard count — so the
-/// rate is comparable across shard counts and with the unsharded live
-/// series. (Broadcast records are shipped once per shard, but that is
-/// transport duplication, not new events; counting it would manufacture
-/// phantom speedup from duplicated work.) Consumption stays on the
-/// default frame-granular path.
-#[must_use]
-pub fn measure_live_parallel(samples: usize) -> Vec<PipelineRow> {
-    let program = Benchmark::Gzip.build();
-    let cfg = config(true);
-    let mut rows = Vec::new();
-    for (name, make) in sharded_lifeguards() {
-        for shards in SHARD_COUNTS {
-            let (records, wire_bits, wall) = best_of(samples, || {
-                let report =
-                    run_live_parallel(&program, make, shards, &cfg).expect("gzip runs clean");
-                (report.trace.instructions(), report.log.wire_bits)
-            });
-            rows.push(PipelineRow {
-                mode: "live-parallel",
-                lifeguard: name,
-                benchmark: "gzip",
-                batched: true,
-                shards,
-                window: 0,
-                records,
-                wire_bits,
-                wall_seconds: wall,
-                events_per_sec: records as f64 / wall,
-                modeled_cycles: 0,
-                sampled_out_fraction: 0.0,
-            });
-        }
-    }
-    rows
-}
-
-/// The remote series: events/sec through `run_remote` on gzip for every
-/// supported lifeguard at each worker count — the same sharded pipeline
-/// as `live-parallel`, with each shard's frames crossing a real
-/// Unix-domain socket under the credit window instead of an in-process
-/// queue. The events/sec convention matches `measure_live_parallel`
-/// (retired records, comparable across counts), and the trajectory gate
-/// asserts the wire bits byte-identical to the matching live-parallel
-/// row: the socket must move the exact same stream, paying only wall
-/// clock for the kernel round-trips.
-#[must_use]
-pub fn measure_remote(samples: usize) -> Vec<PipelineRow> {
-    let program = Benchmark::Gzip.build();
-    let cfg = config(true);
-    let mut rows = Vec::new();
-    for (name, make) in sharded_lifeguards() {
-        for workers in SHARD_COUNTS {
-            let (records, wire_bits, wall) = best_of(samples, || {
-                let report = run_remote(&program, make, workers, &cfg).expect("gzip runs clean");
-                (report.trace.instructions(), report.log.wire_bits)
-            });
-            rows.push(PipelineRow {
-                mode: "remote",
-                lifeguard: name,
-                benchmark: "gzip",
-                batched: true,
-                shards: workers,
-                window: 0,
-                records,
-                wire_bits,
-                wall_seconds: wall,
-                events_per_sec: records as f64 / wall,
-                modeled_cycles: 0,
-                sampled_out_fraction: 0.0,
-            });
-        }
-    }
-    rows
-}
-
 /// Captures gzip's record stream once (for the consumption-path cells).
 #[must_use]
 pub fn capture_stream() -> Vec<EventRecord> {
@@ -568,7 +480,7 @@ pub fn capture_stream() -> Vec<EventRecord> {
 
 /// Fills a channel with the whole stream. The per-record baseline decodes
 /// on pop, so it gets the software-decoding channel; the batched path gets
-/// the zero-copy one — the same pairing `run_lba` wires up.
+/// the zero-copy one — the same pairing `RunMode::Lba` wires up.
 fn fill_channel(records: &[EventRecord], batched: bool) -> ModeledFrameChannel {
     let fc = SystemConfig::default().log.frame_config();
     let mut ch = if batched {
@@ -1084,7 +996,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
     };
     let idempotent: Vec<&'static str> = idempotent_lifeguards()
         .into_iter()
-        .map(|(name, _)| name)
+        .map(|m| m.name)
         .collect();
     for mode in ["lba", "live"] {
         for &lifeguard in &idempotent {
@@ -1108,7 +1020,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             }
         }
     }
-    for (name, _) in lifeguards() {
+    for name in lifeguards().into_iter().map(|m| m.name) {
         if idempotent.contains(&name) {
             continue;
         }
@@ -1149,7 +1061,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
     };
     let degradable: Vec<&'static str> = degradable_lifeguards()
         .into_iter()
-        .map(|(name, _)| name)
+        .map(|m| m.name)
         .collect();
     for mode in ["lba", "live"] {
         for &lifeguard in &degradable {
@@ -1168,8 +1080,8 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             // must show none; the rest must actually thin the stream.
             let samples = lifeguards()
                 .into_iter()
-                .find(|(name, _)| *name == lifeguard)
-                .is_some_and(|(_, make)| make().degradation().sampling.is_some());
+                .find(|m| m.name == lifeguard)
+                .is_some_and(|m| (m.make)().degradation().sampling.is_some());
             if !samples {
                 if fraction != 0.0 {
                     return Err(format!("{what}: {lifeguard} declares no sampling"));
@@ -1202,7 +1114,7 @@ pub fn validate_trajectory(json: &str) -> Result<(), String> {
             }
         }
     }
-    for (name, _) in lifeguards() {
+    for name in lifeguards().into_iter().map(|m| m.name) {
         if degradable.contains(&name) {
             continue;
         }

@@ -19,9 +19,9 @@ use crate::controller::AdaptiveConfig;
 /// a durable `lbas/1` flight-recorder stream — set [`LogConfig::record_to`]
 /// to enable recording in any of the four run modes.
 ///
-/// The single-stream modes (`run_lba`, `run_live`) write stream 0; the
+/// The single-stream modes (`RunMode::Lba`, `RunMode::Live`) write stream 0; the
 /// sharded modes write one stream per shard, all into the same directory.
-/// `lba_core::run_replay` later replays the directory through any
+/// `RunMode::Replay` later replays the directory through any
 /// lifeguard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordConfig {
@@ -112,7 +112,7 @@ pub struct LogConfig {
     /// is never filtered regardless of this setting.
     pub idempotency_window: usize,
     /// Record-count cap per epoch in the epoch-parallel modes
-    /// ([`run_epoch_parallel`](crate::run_epoch_parallel) and friends):
+    /// ([`RunMode::EpochParallel`](crate::RunMode::EpochParallel) and friends):
     /// an epoch closes at every syscall — the natural containment
     /// boundary, where the log is flushed anyway — and additionally after
     /// this many records, so long syscall-free stretches still
@@ -148,9 +148,9 @@ pub struct LogConfig {
     /// [`RunError::ChannelStalled`](lba_cpu::RunError::ChannelStalled)
     /// instead of waiting forever on a wedged consumer. `None` (the
     /// default) preserves the original unbounded wait. All four live modes
-    /// consult it — `run_live`, `run_live_parallel`, `run_remote` and
-    /// `run_live_epoch_parallel` — through their shared frame sender; the
-    /// modeled transport has no wall clock.
+    /// consult it — `RunMode::Live`, `RunMode::LiveParallel`,
+    /// `RunMode::Remote` and `RunMode::LiveEpochParallel` — through their
+    /// shared frame sender; the modeled transport has no wall clock.
     pub channel_stall_timeout: Option<Duration>,
 }
 
@@ -177,7 +177,7 @@ impl LogConfig {
     /// astronomical `buffer_bytes` must not translate into an
     /// astronomical allocation.
     ///
-    /// Shared by `run_live` (one channel) and `run_live_parallel` (one
+    /// Shared by `RunMode::Live` (one channel) and `RunMode::LiveParallel` (one
     /// channel per shard), so shrinking `buffer_bytes` tightens live
     /// back-pressure the same way it does in the co-simulation.
     #[must_use]
@@ -190,7 +190,7 @@ impl LogConfig {
 
     /// The single capture-pass predicate for the single-lifeguard modes:
     /// the address-range filter composed with the idempotency window
-    /// under the lifeguard's declared `class`. `run_lba` and `run_live`
+    /// under the lifeguard's declared `class`. `RunMode::Lba` and `RunMode::Live`
     /// build their filter here so the two cannot drift.
     #[must_use]
     pub fn capture_filter(&self, class: IdempotencyClass) -> CaptureFilter {
@@ -244,7 +244,7 @@ impl LogConfig {
 
     /// The capture filter for the sharded modes, which mirror the modeled
     /// parallel study and deliberately ignore the address-range filter
-    /// (see `run_lba_parallel`) but do run the idempotency window — the
+    /// (see `RunMode::LbaParallel`) but do run the idempotency window — the
     /// suppression happens before routing, so both sharded modes ship
     /// identical per-shard streams.
     #[must_use]

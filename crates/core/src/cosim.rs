@@ -254,9 +254,7 @@ impl<C: LogChannel> ProducerLink for Cosim<'_, C> {
 /// are proptest-pinned identical to unfiltered runs
 /// (`tests/idempotency.rs`).
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Lba`), which validates mode/monitor pairings against the
-/// registry; this free function remains the mode's direct entry point.
+/// [`Run`](crate::Run) drives this runner for `RunMode::Lba`.
 ///
 /// # Errors
 ///
@@ -268,7 +266,7 @@ impl<C: LogChannel> ProducerLink for Cosim<'_, C> {
 ///
 /// Panics if `config.log.verify_compression` is set and the framed stream
 /// fails to round-trip (a codec bug, not a user error).
-pub fn run_lba(
+pub(crate) fn run_lba(
     program: &Program,
     lifeguard: &mut dyn Lifeguard,
     config: &SystemConfig,

@@ -25,8 +25,9 @@
 //!   ([`EpochLifeguard::absorb`](lba_lifeguard::EpochLifeguard)). Because
 //!   every summary is expressed over epoch-entry state and summaries are
 //!   absorbed in order, the findings and final shadow state are
-//!   byte-identical to the sequential run — proptest-pinned in
-//!   `tests/epoch_taint.rs`.
+//!   byte-identical to the sequential run — proptest-pinned in this
+//!   module's tests (master state) and `tests/epoch_taint.rs` (findings
+//!   through the public builder).
 //!
 //! Three runners share the machinery: [`run_epoch_parallel`] (the modeled
 //! mode: deterministic worker/stitch clocks, reporting the cycle-level
@@ -40,18 +41,9 @@
 //! ships every retired record: epoch summaries are computed over the full
 //! stream, so no capture filter or adaptive controller may drop records.
 //!
-//! # Modeled speedup is not wall-clock speedup
-//!
-//! The modeled mode's headline — 4 workers finish gzip in 3.5× fewer
-//! cycles than sequential TaintCheck (the `taint-parallel` series of
-//! `BENCH_pipeline.json`) — is a **modeled-only** figure: it counts the
-//! handler charges of idealised cores and ignores the host cost of
-//! building and resolving the symbolic summaries. On wall clock (gzip,
-//! 2-vCPU host, best of 5), sequential `run_lba` TaintCheck runs at
-//! about 15.8M records/s, the modeled epoch mode with one worker at
-//! about 8.6M/s, and [`run_live_epoch_parallel`] with two workers at
-//! about 7.1M/s: summarizing costs about 3.7× sequential dispatch per
-//! record, so two workers do not yet beat one sequential lifeguard.
+//! The modeled mode's speedup is a **modeled-only** figure; the wall-clock
+//! numbers that qualify it are on
+//! [`RunMode::EpochParallel`](crate::RunMode::EpochParallel).
 
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
@@ -62,7 +54,6 @@ use lba_cache::{MemSystem, MemSystemConfig};
 use lba_cpu::{Machine, RunError, StepOutcome};
 use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, EpochLifeguard, EpochSummarizer, Finding, HandlerCtx};
-use lba_lifeguards::TaintCheck;
 use lba_record::EventRecord;
 use lba_transport::live::FrameReceiver;
 use lba_transport::{ChannelStats, LogChannel, ModeledFrameChannel};
@@ -190,9 +181,7 @@ impl<E: EpochLifeguard> ProducerLink for EpochModelLink<'_, E> {
 /// Epoch boundaries come from [`LogConfig::epoch_records`](crate::LogConfig)
 /// and syscalls; see [`EpochRouted`].
 ///
-/// New code driving [`TaintCheck`] should prefer the unified
-/// [`Run`](crate::Run) builder (`RunMode::EpochParallel`); this generic
-/// function remains the entry point for custom [`EpochLifeguard`]s.
+/// [`Run`](crate::Run) drives this runner for `RunMode::EpochParallel`.
 ///
 /// # Errors
 ///
@@ -201,7 +190,7 @@ impl<E: EpochLifeguard> ProducerLink for EpochModelLink<'_, E> {
 /// # Panics
 ///
 /// Panics if `workers` or `config.log.epoch_records` is zero.
-pub fn run_epoch_parallel<E: EpochLifeguard>(
+pub(crate) fn run_epoch_parallel<E: EpochLifeguard>(
     program: &Program,
     master: &mut E,
     workers: usize,
@@ -319,10 +308,7 @@ pub fn run_epoch_parallel<E: EpochLifeguard>(
 /// Functional, not timed (like the other live modes); findings and final
 /// master state are byte-identical to the sequential run.
 ///
-/// New code driving [`TaintCheck`] should prefer the unified
-/// [`Run`](crate::Run) builder (`RunMode::LiveEpochParallel`); this
-/// generic function remains the entry point for custom
-/// [`EpochLifeguard`]s.
+/// [`Run`](crate::Run) drives this runner for `RunMode::LiveEpochParallel`.
 ///
 /// Like the other live modes, `record_to` tees each worker's stream to
 /// disk, `channel_stall_timeout` bounds how long the producer parks on a
@@ -338,7 +324,7 @@ pub fn run_epoch_parallel<E: EpochLifeguard>(
 /// # Panics
 ///
 /// Panics if `workers` or `config.log.epoch_records` is zero.
-pub fn run_live_epoch_parallel<E>(
+pub(crate) fn run_live_epoch_parallel<E>(
     program: &Program,
     master: &mut E,
     workers: usize,
@@ -485,15 +471,13 @@ fn epoch_consume(rx: &mut FrameReceiver, mut consume: impl FnMut(&[EventRecord],
 /// Findings and final `master` state are byte-identical to the recording
 /// run's (and therefore to the sequential run's).
 ///
-/// New code driving [`TaintCheck`] should prefer the unified
-/// [`Run`](crate::Run) builder (`RunMode::ReplayEpoch`); this generic
-/// function remains the entry point for custom [`EpochLifeguard`]s.
+/// [`Run`](crate::Run) drives this runner for `RunMode::ReplayEpoch`.
 ///
 /// # Errors
 ///
 /// See [`ReplayError`]: stream-layer damage, a codec-version mismatch, or
 /// a frame that fails to decode.
-pub fn run_replay_epoch<E: EpochLifeguard>(
+pub(crate) fn run_replay_epoch<E: EpochLifeguard>(
     dir: impl AsRef<std::path::Path>,
     master: &mut E,
     config: &SystemConfig,
@@ -600,49 +584,64 @@ pub fn run_replay_epoch<E: EpochLifeguard>(
     Ok(report)
 }
 
-/// [`run_epoch_parallel`] instantiated for [`TaintCheck`] — the DIFT
-/// lifeguard the epoch technique was built for. Returns the report; use
-/// the generic runner with your own `TaintCheck` master to inspect final
-/// taint state.
-///
-/// # Errors
-///
-/// Propagates any [`RunError`] from the machine.
-pub fn run_taint_parallel(
-    program: &Program,
-    workers: usize,
-    config: &SystemConfig,
-) -> Result<RunReport, RunError> {
-    // Equivalent to `Run::new(program).mode(RunMode::EpochParallel)
-    //     .monitor(LifeguardKind::TaintCheck)`, which new code should
-    // prefer; kept as the mode's direct entry point.
-    let mut master = TaintCheck::new();
-    run_epoch_parallel(program, &mut master, workers, config)
-}
-
-/// [`run_live_epoch_parallel`] instantiated for [`TaintCheck`].
-///
-/// # Errors
-///
-/// Propagates any [`RunError`] from the machine thread.
-pub fn run_live_taint_parallel(
-    program: &Program,
-    workers: usize,
-    config: &SystemConfig,
-) -> Result<PipelineReport, RunError> {
-    // Equivalent to `Run::new(program).mode(RunMode::LiveEpochParallel)
-    //     .monitor(LifeguardKind::TaintCheck)`, which new code should
-    // prefer; kept as the mode's direct entry point.
-    let mut master = TaintCheck::new();
-    run_live_epoch_parallel(program, &mut master, workers, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RecordConfig;
     use crate::cosim::run_lba;
     use lba_lifeguard::FindingKind;
+    use lba_lifeguards::TaintCheck;
     use lba_workloads::{bugs, Benchmark};
+    use proptest::prelude::*;
+
+    /// A default config with `epoch_records`-record epochs.
+    fn epochs(epoch_records: usize) -> SystemConfig {
+        let mut config = SystemConfig::default();
+        config.log.epoch_records = epoch_records;
+        config
+    }
+
+    /// Runs TaintCheck epoch-parallel (`live` or modeled) into a fresh
+    /// master and checks the findings, the record total and the master's
+    /// final taint accounting against the sequential lifeguard's — and,
+    /// when the run recorded, the same for a replay of the recording.
+    fn assert_master_matches_sequential(
+        program: &Program,
+        config: &SystemConfig,
+        workers: usize,
+        live: bool,
+    ) -> PipelineReport {
+        let mut seq = TaintCheck::new();
+        let sequential = run_lba(program, &mut seq, config).expect("sequential run");
+        let seq_tainted = seq.tainted_bytes_introduced();
+        let mut master = TaintCheck::new();
+        let report = if live {
+            run_live_epoch_parallel(program, &mut master, workers, config).unwrap()
+        } else {
+            run_epoch_parallel(program, &mut master, workers, config)
+                .unwrap()
+                .pipeline
+        };
+        let at = format!(
+            "{} epoch {} workers {workers} live={live}",
+            program.name(),
+            config.log.epoch_records
+        );
+        assert_eq!(report.findings, sequential.findings, "{at}");
+        assert_eq!(master.tainted_bytes_introduced(), seq_tainted, "{at}");
+        assert_eq!(report.log.records, sequential.log.records, "{at}");
+        if let Some(recording) = &config.log.record_to {
+            let mut master = TaintCheck::new();
+            let replay = run_replay_epoch(&recording.dir, &mut master, config).unwrap();
+            assert_eq!(replay.findings, sequential.findings, "{at} replayed");
+            assert_eq!(
+                master.tainted_bytes_introduced(),
+                seq_tainted,
+                "{at} replayed"
+            );
+        }
+        report
+    }
 
     #[test]
     fn stalled_epoch_worker_is_a_run_error_not_a_hang() {
@@ -659,7 +658,8 @@ mod tests {
             ..lba_transport::FaultProfile::default()
         });
         let start = std::time::Instant::now();
-        let err = run_live_taint_parallel(&program, 1, &config).unwrap_err();
+        let err =
+            run_live_epoch_parallel(&program, &mut TaintCheck::new(), 1, &config).unwrap_err();
         assert_eq!(err, RunError::ChannelStalled);
         assert!(
             start.elapsed() < std::time::Duration::from_secs(30),
@@ -733,23 +733,29 @@ mod tests {
     }
 
     #[test]
-    fn epoch_parallel_taint_matches_sequential_on_the_exploit() {
-        let program = bugs::exploit();
-        let config = SystemConfig::default();
-        let mut seq = TaintCheck::new();
-        let sequential = run_lba(&program, &mut seq, &config).unwrap();
-        for workers in [1, 3] {
-            let mut master = TaintCheck::new();
-            let report = run_epoch_parallel(&program, &mut master, workers, &config).unwrap();
-            assert_eq!(report.findings, sequential.findings, "workers={workers}");
-            assert_eq!(
-                master.tainted_bytes_introduced(),
-                seq.tainted_bytes_introduced()
-            );
-            assert!(report
-                .findings
-                .iter()
-                .any(|f| f.kind == FindingKind::TaintedJump));
+    fn epoch_parallel_taint_matches_sequential() {
+        // (program, epoch_records, workers): the exploit at the default
+        // epoch size; one epoch on one worker (syscalls still close
+        // epochs), the purest test of the symbolic transfer function;
+        // every record its own epoch, maximal stitch traffic; and gzip,
+        // the modeled half of the modeled-vs-live agreement.
+        let cases = [
+            (bugs::exploit(), 1024, 1),
+            (bugs::exploit(), 1024, 3),
+            (bugs::exploit(), usize::MAX >> 1, 1),
+            (bugs::tainted_syscall(), usize::MAX >> 1, 1),
+            (bugs::exploit(), 1, 3),
+            (Benchmark::Gzip.build(), 128, 3),
+        ];
+        for (program, epoch_records, workers) in cases {
+            let report =
+                assert_master_matches_sequential(&program, &epochs(epoch_records), workers, false);
+            if program.name() == "exploit" {
+                assert!(report
+                    .findings
+                    .iter()
+                    .any(|f| f.kind == FindingKind::TaintedJump));
+            }
         }
     }
 
@@ -759,7 +765,7 @@ mod tests {
         let config = SystemConfig::default();
         let mut seq = TaintCheck::new();
         let sequential = run_lba(&program, &mut seq, &config).unwrap();
-        let report = run_taint_parallel(&program, 4, &config).unwrap();
+        let report = run_epoch_parallel(&program, &mut TaintCheck::new(), 4, &config).unwrap();
         // Epochs partition the stream: no broadcast, no duplication.
         assert_eq!(report.log.records, sequential.log.records);
         assert!(report.epochs >= 2, "gzip must decompose into epochs");
@@ -771,8 +777,8 @@ mod tests {
         let program = Benchmark::Gzip.build();
         let mut config = SystemConfig::default();
         config.log.epoch_records = 256;
-        let one = run_taint_parallel(&program, 1, &config).unwrap();
-        let four = run_taint_parallel(&program, 4, &config).unwrap();
+        let one = run_epoch_parallel(&program, &mut TaintCheck::new(), 1, &config).unwrap();
+        let four = run_epoch_parallel(&program, &mut TaintCheck::new(), 4, &config).unwrap();
         assert_eq!(one.findings, four.findings);
         let speedup = one.total_cycles as f64 / four.total_cycles as f64;
         assert!(
@@ -785,24 +791,70 @@ mod tests {
 
     #[test]
     fn live_epoch_taint_matches_sequential() {
-        let program = bugs::exploit();
-        let config = SystemConfig::default();
-        let mut seq = TaintCheck::new();
-        let sequential = run_lba(&program, &mut seq, &config).unwrap();
-        let mut master = TaintCheck::new();
-        let report = run_live_epoch_parallel(&program, &mut master, 3, &config).unwrap();
-        assert_eq!(report.findings, sequential.findings);
-        assert_eq!(
-            master.tainted_bytes_introduced(),
-            seq.tainted_bytes_introduced()
-        );
-        assert_eq!(report.log.records, sequential.log.records);
+        // The exploit, gzip (the live half of the modeled-vs-live
+        // agreement), and the long-chain programs gzip and mcf, where
+        // tiny epochs stress the stitch and large ones the summarizer's
+        // DAG.
+        let mut cases = vec![
+            (bugs::exploit(), 1024, 3),
+            (Benchmark::Gzip.build(), 128, 3),
+        ];
+        for benchmark in [Benchmark::Gzip, Benchmark::Mcf] {
+            for (epoch_records, workers) in [(7, 1), (7, 2), (1024, 1), (1024, 2)] {
+                cases.push((benchmark.build(), epoch_records, workers));
+            }
+        }
+        for (program, epoch_records, workers) in cases {
+            assert_master_matches_sequential(&program, &epochs(epoch_records), workers, true);
+        }
+    }
+
+    #[test]
+    fn recorded_epoch_master_replays_to_sequential_taint() {
+        for live in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "lba-core-epoch-replay-{}-{live}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let mut config = epochs(16);
+            config.log.record_to = Some(RecordConfig::new(&dir));
+            assert_master_matches_sequential(&bugs::exploit(), &config, 2, live);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The equivalence grid: programs × epoch sizes × worker counts ×
+        /// modeled/live.
+        #[test]
+        fn epoch_master_matches_sequential_across_the_grid(
+            program_idx in 0usize..4,
+            epoch_records in prop_oneof![Just(1usize), Just(7), Just(64), Just(1024)],
+            workers in 1usize..5,
+            live in any::<bool>(),
+        ) {
+            let program = match program_idx {
+                0 => bugs::exploit(),
+                1 => bugs::tainted_syscall(),
+                2 => bugs::memory_bugs(), // no taint findings: the clean case
+                _ => Benchmark::Gzip.build(),
+            };
+            assert_master_matches_sequential(&program, &epochs(epoch_records), workers, live);
+        }
     }
 
     #[test]
     #[should_panic(expected = "at least one epoch worker")]
     fn zero_workers_rejected() {
         let program = bugs::exploit();
-        let _ = run_taint_parallel(&program, 0, &SystemConfig::default());
+        let _ = run_epoch_parallel(
+            &program,
+            &mut TaintCheck::new(),
+            0,
+            &SystemConfig::default(),
+        );
     }
 }

@@ -5,6 +5,7 @@
 //! the same functions. See DESIGN.md §4 for the experiment ↔ paper index.
 
 use lba_lifeguard::AddrRangeFilter;
+use lba_lifeguards::{AddrCheck, TaintCheck};
 use lba_mem::layout;
 use lba_record::RAW_RECORD_BYTES;
 use lba_workloads::Benchmark;
@@ -55,10 +56,8 @@ pub fn figure2(
     for &benchmark in kind.benchmarks() {
         let program = benchmark.build_scaled(scale);
         let base = run_unmonitored(&program, config)?;
-        let mut dbi_lg = kind.make_dbi();
-        let dbi = run_dbi(&program, dbi_lg.as_mut(), config)?;
-        let mut lba_lg = kind.make_lba();
-        let lba = run_lba(&program, lba_lg.as_mut(), config)?;
+        let dbi = run_dbi(&program, (kind.spec().make_dbi)().as_mut(), config)?;
+        let lba = run_lba(&program, (kind.spec().make)().as_mut(), config)?;
         rows.push(Fig2Row {
             benchmark,
             valgrind: dbi.slowdown_vs(&base),
@@ -132,8 +131,7 @@ pub fn compression_table(
         let program = benchmark.build_scaled(scale);
         // AddrCheck subscribes to few events, so the lifeguard never
         // back-pressures the compressor measurement.
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
-        let report = run_lba(&program, lg.as_mut(), config)?;
+        let report = run_lba(&program, &mut AddrCheck::new(), config)?;
         let raw = report.log.records * RAW_RECORD_BYTES as u64;
         rows.push(CompressionRow {
             benchmark,
@@ -207,12 +205,10 @@ pub fn ablation_decoupling(
     for benchmark in [Benchmark::Gzip, Benchmark::Mcf] {
         let program = benchmark.build_scaled(scale);
         let base = run_unmonitored(&program, config)?;
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
-        let decoupled = run_lba(&program, lg.as_mut(), config)?;
+        let decoupled = run_lba(&program, &mut AddrCheck::new(), config)?;
         let mut lockstep_cfg = config.clone();
         lockstep_cfg.log.decoupled = false;
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
-        let lockstep = run_lba(&program, lg.as_mut(), &lockstep_cfg)?;
+        let lockstep = run_lba(&program, &mut AddrCheck::new(), &lockstep_cfg)?;
         rows.push(DecouplingRow {
             benchmark,
             decoupled: decoupled.slowdown_vs(&base),
@@ -245,8 +241,7 @@ pub fn ablation_buffer(config: &SystemConfig, scale: u32) -> Result<Vec<BufferRo
     for kib in [1u64, 4, 16, 64, 256, 1024] {
         let mut cfg = config.clone();
         cfg.log.buffer_bytes = kib << 10;
-        let mut lg = LifeguardKind::TaintCheck.make_lba();
-        let report = run_lba(&program, lg.as_mut(), &cfg)?;
+        let report = run_lba(&program, &mut TaintCheck::new(), &cfg)?;
         rows.push(BufferRow {
             buffer_bytes: kib << 10,
             slowdown: report.slowdown_vs(&base),
@@ -282,12 +277,10 @@ pub fn ablation_compression(
     for benchmark in [Benchmark::Gzip, Benchmark::Mcf] {
         let program = benchmark.build_scaled(scale);
         let base = run_unmonitored(&program, config)?;
-        let mut lg = LifeguardKind::TaintCheck.make_lba();
-        let compressed = run_lba(&program, lg.as_mut(), config)?;
+        let compressed = run_lba(&program, &mut TaintCheck::new(), config)?;
         let mut raw_cfg = config.clone();
         raw_cfg.log.compression = false;
-        let mut lg = LifeguardKind::TaintCheck.make_lba();
-        let raw = run_lba(&program, lg.as_mut(), &raw_cfg)?;
+        let raw = run_lba(&program, &mut TaintCheck::new(), &raw_cfg)?;
         rows.push(CompressionAblationRow {
             benchmark,
             compressed: compressed.slowdown_vs(&base),
@@ -322,15 +315,13 @@ pub fn ext_filtering(config: &SystemConfig, scale: u32) -> Result<Vec<FilterRow>
     for benchmark in [Benchmark::Bc, Benchmark::Gzip, Benchmark::Tidy] {
         let program = benchmark.build_scaled(scale);
         let base = run_unmonitored(&program, config)?;
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
-        let plain = run_lba(&program, lg.as_mut(), config)?;
+        let plain = run_lba(&program, &mut AddrCheck::new(), config)?;
         let mut cfg = config.clone();
         cfg.log.filter = Some(AddrRangeFilter::new(vec![(
             layout::HEAP_BASE,
             layout::HEAP_END,
         )]));
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
-        let filtered = run_lba(&program, lg.as_mut(), &cfg)?;
+        let filtered = run_lba(&program, &mut AddrCheck::new(), &cfg)?;
         let total = (filtered.log.records + filtered.log.filtered).max(1);
         rows.push(FilterRow {
             benchmark,
@@ -362,12 +353,8 @@ pub fn ext_parallel(config: &SystemConfig, scale: u32) -> Result<Vec<ParallelRow
     let base = run_unmonitored(&program, config)?;
     let mut rows = Vec::new();
     for shards in [1usize, 2, 4] {
-        let report = run_lba_parallel(
-            &program,
-            || LifeguardKind::LockSet.make_lba(),
-            shards,
-            config,
-        )?;
+        let report =
+            run_lba_parallel(&program, LifeguardKind::LockSet.spec().make, shards, config)?;
         rows.push(ParallelRow {
             shards,
             slowdown: report.total_cycles as f64 / base.total_cycles as f64,

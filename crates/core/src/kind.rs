@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use lba_lifeguard::Lifeguard;
 use lba_workloads::Benchmark;
 
 use crate::pipeline::{MonitorSpec, MONITORS};
@@ -45,21 +44,6 @@ impl LifeguardKind {
             .expect("every LifeguardKind has a MONITORS row")
     }
 
-    /// Builds a fresh lifeguard instance configured for the LBA run
-    /// (hardware-assisted: LockSet memoises lockset operations).
-    #[must_use]
-    pub fn make_lba(self) -> Box<dyn Lifeguard> {
-        (self.spec().make)()
-    }
-
-    /// Builds a fresh lifeguard instance configured for the DBI baseline
-    /// (software-only: LockSet recomputes lockset operations, as the
-    /// paper-era software race detectors did; DESIGN.md §5).
-    #[must_use]
-    pub fn make_dbi(self) -> Box<dyn Lifeguard> {
-        (self.spec().make_dbi)()
-    }
-
     /// The benchmarks this lifeguard is evaluated on in Figure 2:
     /// AddrCheck/TaintCheck run the seven single-threaded programs,
     /// LockSet the two multi-threaded ones.
@@ -99,14 +83,6 @@ mod tests {
         assert_eq!(LifeguardKind::TaintCheck.benchmarks().len(), 7);
         assert_eq!(LifeguardKind::LockSet.benchmarks().len(), 2);
         assert_eq!(LifeguardKind::LockSet.to_string(), "lockset");
-    }
-
-    #[test]
-    fn factories_build_matching_lifeguards() {
-        for kind in LifeguardKind::ALL {
-            assert_eq!(kind.make_lba().name(), kind.name());
-            assert_eq!(kind.make_dbi().name(), kind.name());
-        }
     }
 
     #[test]

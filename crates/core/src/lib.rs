@@ -10,40 +10,44 @@
 //! delivering it — compressed, through the cache hierarchy — to a second
 //! core, where a *lifeguard* consumes it as a stream of typed event
 //! records. This crate ties the substrates together into the paper's three
-//! execution models:
+//! execution models, all driven through the one [`Run`] builder:
 //!
-//! * [`run_unmonitored`] — the baseline: the program alone on one core;
-//! * [`run_lba`] — the proposed system: capture → VPC compression → framed
-//!   log channel → `nlba` dispatch → lifeguard handlers on a second core,
-//!   with decoupled clocks, back-pressure, and syscall-stall containment;
-//! * [`run_dbi`] — the comparison point: the same lifeguard inline via
-//!   Valgrind-style dynamic binary instrumentation on the application core.
+//! * [`RunMode::Unmonitored`] — the baseline: the program alone on one
+//!   core;
+//! * [`RunMode::Lba`] — the proposed system: capture → VPC compression →
+//!   framed log channel → `nlba` dispatch → lifeguard handlers on a second
+//!   core, with decoupled clocks, back-pressure, and syscall-stall
+//!   containment;
+//! * [`RunMode::Dbi`] — the comparison point: the same lifeguard inline
+//!   via Valgrind-style dynamic binary instrumentation on the application
+//!   core.
 //!
 //! The [`experiment`] module regenerates every table and figure in the
 //! paper (`cargo run --release -p lba-bench --bin figures`), and the
-//! [`parallel`], [`live_parallel`] and filtering extensions implement the
-//! §3 future work — [`run_live_parallel`] runs the sharded design for
-//! real, with one consumer thread per shard decoding its own compressed
-//! frame stream.
+//! sharded ([`RunMode::LbaParallel`], [`RunMode::LiveParallel`]) and
+//! filtering extensions implement the §3 future work —
+//! [`RunMode::LiveParallel`] runs the sharded design for real, with one
+//! consumer thread per shard decoding its own compressed frame stream.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use lba::{run_lba, run_unmonitored, SystemConfig};
-//! use lba_lifeguards::AddrCheck;
+//! use lba::{LifeguardKind, Run, RunMode, RunOutcome};
 //! use lba_workloads::bugs;
 //!
 //! let program = bugs::memory_bugs();
-//! let config = SystemConfig::default();
-//!
-//! let baseline = run_unmonitored(&program, &config)?;
-//! let mut addrcheck = AddrCheck::new();
-//! let monitored = run_lba(&program, &mut addrcheck, &config)?;
+//! let baseline = Run::new(&program).mode(RunMode::Unmonitored).run()?;
+//! let monitored = Run::new(&program)
+//!     .mode(RunMode::Lba)
+//!     .monitor(LifeguardKind::AddrCheck)
+//!     .run()?;
 //!
 //! assert!(!monitored.findings.is_empty(), "the planted bugs are caught");
-//! let slowdown = monitored.slowdown_vs(&baseline);
-//! assert!(slowdown > 1.0);
-//! # Ok::<(), lba::RunError>(())
+//! let (RunOutcome::Run(base), RunOutcome::Run(mon)) = (&baseline, &monitored) else {
+//!     unreachable!("Unmonitored and Lba report modeled clocks");
+//! };
+//! assert!(mon.slowdown_vs(base) > 1.0);
+//! # Ok::<(), lba::LbaError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,46 +56,37 @@
 mod config;
 pub mod controller;
 mod cosim;
-pub mod epoch_parallel;
+mod epoch_parallel;
 mod error;
 pub mod experiment;
 mod fanout;
 mod kind;
 mod live;
-pub mod live_parallel;
-pub mod parallel;
+mod live_parallel;
+mod parallel;
 pub mod pipeline;
 mod recorder;
-pub mod remote;
-pub mod replay;
+mod remote;
+mod replay;
 pub mod report;
 mod run;
-pub mod runner;
+mod runner;
 pub mod table;
 
 pub use config::{LogConfig, RecordConfig, SystemConfig, MAX_LIVE_CHANNEL_FRAMES};
 pub use controller::{AdaptiveConfig, CaptureController, Transition, Verdict};
-pub use cosim::run_lba;
-pub use epoch_parallel::{
-    run_epoch_parallel, run_live_epoch_parallel, run_live_taint_parallel, run_replay_epoch,
-    run_taint_parallel,
-};
 pub use error::LbaError;
 pub use kind::LifeguardKind;
-pub use live::run_live;
-pub use live_parallel::run_live_parallel;
 pub use pipeline::{
     ConsumerTopology, EpochRouted, Execution, MonitorSpec, Producer, ProducerFinish, ProducerLink,
     ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS,
     RUN_MODES,
 };
-pub use remote::run_remote;
-pub use replay::{run_replay, run_replay_with, ReplayError, ReplayMode};
+pub use replay::{ReplayError, ReplayMode};
 pub use report::{
     LogStats, PipelineReport, ReplayReport, ReplayStreamStats, RunReport, SalvagedTail,
     StallBreakdown,
 };
-pub use run::{run_dbi, run_unmonitored};
 pub use runner::{record_then_run, MonitorChoice, Run, RunMode, RunOutcome};
 
 // Per-channel transport statistics appear in every report's `channels`; re-export

@@ -1,7 +1,7 @@
 //! Live monitoring: application and lifeguard on real OS threads.
 //!
 //! The timing results come from the deterministic co-simulation
-//! ([`run_lba`](crate::run_lba)); this mode demonstrates the *functional*
+//! ([`run_lba`](crate::cosim::run_lba)); this mode demonstrates the *functional*
 //! pipeline with genuine parallelism — the machine compresses records into
 //! cache-line-multiple frames on one thread while the lifeguard
 //! decompresses and consumes them on another, connected by the framed SPSC
@@ -96,15 +96,13 @@ impl ProducerLink for LiveLink<'_> {
 /// syscall seals the open frame so the lifeguard can observe everything
 /// that precedes it.
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Live`); this free function remains the mode's direct entry
-/// point.
+/// [`Run`](crate::Run) drives this runner for `RunMode::Live`.
 ///
 /// # Errors
 ///
 /// Propagates any [`RunError`] from the machine thread, and
 /// [`RunError::WorkerPanicked`] when it panicked.
-pub fn run_live(
+pub(crate) fn run_live(
     program: &Program,
     lifeguard: &mut dyn Lifeguard,
     config: &SystemConfig,

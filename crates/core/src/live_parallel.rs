@@ -25,7 +25,8 @@
 //! Like the modeled mode, TaintCheck is unsupported: its register state is
 //! a sequential dependence chain through every instruction, so address
 //! interleaving is unsound for it — use the epoch-parallel mode
-//! ([`crate::run_live_taint_parallel`]) for taint on real threads.
+//! ([`run_live_epoch_parallel`](crate::epoch_parallel::run_live_epoch_parallel))
+//! for taint on real threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
@@ -57,7 +58,7 @@ const LG_CORE: usize = 1;
 /// [`LogConfig::live_channel_frames`](crate::LogConfig::live_channel_frames),
 /// the same budget-derived depth `run_live` uses.
 ///
-/// Unlike [`run_live`](crate::run_live), this mode mirrors the modeled
+/// Unlike [`run_live`](crate::live::run_live), this mode mirrors the modeled
 /// parallel study exactly, so two `LogConfig` fields are deliberately
 /// **ignored**: `filter` (the address-range filter has no sharded
 /// soundness story) and `syscall_stall` (frames seal only when full or at
@@ -69,9 +70,7 @@ const LG_CORE: usize = 1;
 /// identical pass, which keeps each shard's wire stream byte-identical
 /// between the two modes.
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::LiveParallel`); this free function remains the mode's
-/// direct entry point.
+/// [`Run`](crate::Run) drives this runner for `RunMode::LiveParallel`.
 ///
 /// # Errors
 ///
@@ -82,7 +81,7 @@ const LG_CORE: usize = 1;
 /// # Panics
 ///
 /// Panics if `shards` is zero.
-pub fn run_live_parallel(
+pub(crate) fn run_live_parallel(
     program: &Program,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     shards: usize,
@@ -198,8 +197,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let config = SystemConfig::default();
         let report =
-            run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 4, &config)
-                .unwrap();
+            run_live_parallel(&program, LifeguardKind::AddrCheck.spec().make, 4, &config).unwrap();
         use FindingKind::*;
         for kind in [UnallocatedAccess, DoubleFree, InvalidFree, Leak] {
             assert!(
@@ -221,8 +219,7 @@ mod tests {
         let program = Benchmark::Gzip.build();
         let config = SystemConfig::default();
         let report =
-            run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 3, &config)
-                .unwrap();
+            run_live_parallel(&program, LifeguardKind::AddrCheck.spec().make, 3, &config).unwrap();
         assert_eq!(report.channels.len(), 3);
         // Broadcast records count once per shard, so together the shards
         // carry at least the retired event stream.
@@ -239,7 +236,7 @@ mod tests {
         let program = bugs::data_race();
         let config = SystemConfig::default();
         let report =
-            run_live_parallel(&program, || LifeguardKind::LockSet.make_lba(), 1, &config).unwrap();
+            run_live_parallel(&program, LifeguardKind::LockSet.spec().make, 1, &config).unwrap();
         assert_eq!(report.channels.len(), 1);
         // A single shard owns every record: no routing, no broadcast dups.
         assert_eq!(report.channels[0].records, report.trace.instructions());
@@ -258,8 +255,7 @@ mod tests {
         config.log.buffer_bytes = 64;
         assert_eq!(config.log.live_channel_frames(), 1);
         let report =
-            run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 2, &config)
-                .unwrap();
+            run_live_parallel(&program, LifeguardKind::AddrCheck.spec().make, 2, &config).unwrap();
         assert!(report
             .findings
             .iter()
@@ -272,7 +268,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let _ = run_live_parallel(
             &program,
-            || LifeguardKind::AddrCheck.make_lba(),
+            LifeguardKind::AddrCheck.spec().make,
             0,
             &SystemConfig::default(),
         );
@@ -283,7 +279,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let mut config = SystemConfig::default();
         config.log.records_per_frame = 0;
-        let err = run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 2, &config)
+        let err = run_live_parallel(&program, LifeguardKind::AddrCheck.spec().make, 2, &config)
             .unwrap_err();
         assert_eq!(err, RunError::ZeroRecordsPerFrame);
     }

@@ -25,8 +25,10 @@
 //! TaintCheck is deliberately not supported: its register state forms a
 //! sequential dependence chain through every instruction, so address
 //! interleaving is unsound for it. Its parallel mode is the epoch
-//! design instead — [`crate::run_taint_parallel`] cuts the stream into
-//! *time* slices and stitches symbolic per-epoch summaries in order.
+//! design instead —
+//! [`run_epoch_parallel`](crate::epoch_parallel::run_epoch_parallel) cuts
+//! the stream into *time* slices and stitches symbolic per-epoch
+//! summaries in order.
 
 use std::collections::HashSet;
 
@@ -172,9 +174,7 @@ impl ProducerLink for ParallelLink {
 ///
 /// `make_lifeguard` builds one (identical) lifeguard instance per shard.
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::LbaParallel`); this free function remains the mode's
-/// direct entry point.
+/// [`Run`](crate::Run) drives this runner for `RunMode::LbaParallel`.
 ///
 /// # Errors
 ///
@@ -183,7 +183,7 @@ impl ProducerLink for ParallelLink {
 /// # Panics
 ///
 /// Panics if `shards` is zero.
-pub fn run_lba_parallel(
+pub(crate) fn run_lba_parallel(
     program: &Program,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard>,
     shards: usize,
@@ -316,9 +316,9 @@ mod tests {
         let program = Benchmark::Zchaff.build();
         let config = SystemConfig::default();
         let one =
-            run_lba_parallel(&program, || LifeguardKind::LockSet.make_lba(), 1, &config).unwrap();
+            run_lba_parallel(&program, LifeguardKind::LockSet.spec().make, 1, &config).unwrap();
         let four =
-            run_lba_parallel(&program, || LifeguardKind::LockSet.make_lba(), 4, &config).unwrap();
+            run_lba_parallel(&program, LifeguardKind::LockSet.spec().make, 4, &config).unwrap();
         assert!(
             four.max_lifeguard_cycles() * 2 < one.max_lifeguard_cycles(),
             "4 shards ({}) should at least halve one shard ({})",
@@ -332,7 +332,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let config = SystemConfig::default();
         let report =
-            run_lba_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 4, &config).unwrap();
+            run_lba_parallel(&program, LifeguardKind::AddrCheck.spec().make, 4, &config).unwrap();
         use FindingKind::*;
         for kind in [UnallocatedAccess, DoubleFree, InvalidFree, Leak] {
             assert!(
@@ -354,7 +354,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let config = SystemConfig::default();
         let report =
-            run_lba_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 3, &config).unwrap();
+            run_lba_parallel(&program, LifeguardKind::AddrCheck.spec().make, 3, &config).unwrap();
         assert_eq!(report.channels.len(), 3);
         let records: u64 = report.channels.iter().map(|s| s.records).sum();
         // Broadcast events are counted once per shard, so the shards
@@ -375,10 +375,10 @@ mod tests {
         let config = SystemConfig::default();
         let base = run_unmonitored(&program, &config).unwrap();
         let eight =
-            run_lba_parallel(&program, || LifeguardKind::LockSet.make_lba(), 8, &config).unwrap();
+            run_lba_parallel(&program, LifeguardKind::LockSet.spec().make, 8, &config).unwrap();
         let slowdown = eight.total_cycles as f64 / base.total_cycles as f64;
         let single =
-            run_lba_parallel(&program, || LifeguardKind::LockSet.make_lba(), 1, &config).unwrap();
+            run_lba_parallel(&program, LifeguardKind::LockSet.spec().make, 1, &config).unwrap();
         let single_slowdown = single.total_cycles as f64 / base.total_cycles as f64;
         assert!(
             slowdown < single_slowdown / 2.0,
@@ -392,7 +392,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let _ = run_lba_parallel(
             &program,
-            || LifeguardKind::AddrCheck.make_lba(),
+            LifeguardKind::AddrCheck.spec().make,
             0,
             &SystemConfig::default(),
         );

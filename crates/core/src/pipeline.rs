@@ -143,7 +143,7 @@ impl Producer {
         }
     }
 
-    /// The single-consumer co-simulation producer (`run_lba`): the full
+    /// The single-consumer co-simulation producer (`RunMode::Lba`): the full
     /// capture pass
     /// ([`LogConfig::adaptive_capture_filter`](crate::LogConfig::adaptive_capture_filter)),
     /// the adaptive controller when configured, syscall containment per
@@ -168,7 +168,7 @@ impl Producer {
         )
     }
 
-    /// The live single-consumer producer (`run_live`): same capture pass
+    /// The live single-consumer producer (`RunMode::Live`): same capture pass
     /// as [`single`](Self::single), but the cores are real OS threads —
     /// lock-step is meaningless (the link's flush is the only
     /// synchronisation), so the producer is always decoupled and syscall
@@ -192,8 +192,8 @@ impl Producer {
         )
     }
 
-    /// The sharded-mode producer (`run_lba_parallel`,
-    /// `run_live_parallel`): the shard capture filter (idempotency window
+    /// The sharded-mode producer (`RunMode::LbaParallel`,
+    /// `RunMode::LiveParallel`): the shard capture filter (idempotency window
     /// but no address-range filter, so every shard ships an identical
     /// stream — see
     /// [`LogConfig::shard_capture_filter`](crate::LogConfig::shard_capture_filter)),
@@ -212,7 +212,7 @@ impl Producer {
         Producer::build(filter, controller, policy.widen_window, false, true)
     }
 
-    /// The epoch-mode producer (`run_epoch_parallel` and friends): a pure
+    /// The epoch-mode producer (`RunMode::EpochParallel` and friends): a pure
     /// passthrough — no range filter, no idempotency window, no
     /// controller — because epoch summaries are computed over the *full*
     /// stream and stitched in order; dropping records would change the
@@ -349,9 +349,9 @@ pub trait ConsumerTopology {
 /// One lifeguard consumes the full stream in order — the paper's base
 /// design.
 ///
-/// Execution models: `run_lba` interleaves the consumer's modeled clock
+/// Execution models: `RunMode::Lba` interleaves the consumer's modeled clock
 /// with the producer's on one thread (consumption happens at
-/// back-pressure, syscall containment and end of stream); `run_live` runs
+/// back-pressure, syscall containment and end of stream); `RunMode::Live` runs
 /// the consumer on its own OS thread against the SPSC frame channel.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SingleConsumer;
@@ -372,10 +372,10 @@ impl ConsumerTopology for SingleConsumer {
 /// independent (AddrCheck, LockSet) — TaintCheck's register state forms a
 /// sequential dependence chain and uses [`EpochRouted`] instead.
 ///
-/// Execution models: `run_lba_parallel` simulates the N lifeguard cores
+/// Execution models: `RunMode::LbaParallel` simulates the N lifeguard cores
 /// on one thread against a shared [`lba_cache::MemSystem`] (cores `1..=N`,
 /// application on 0), draining every shard after each route so the modeled
-/// clocks interleave like hardware would; `run_live_parallel` runs one
+/// clocks interleave like hardware would; `RunMode::LiveParallel` runs one
 /// consumer OS thread per shard, each with its own channel, and merges
 /// findings (deduplicated) at join.
 #[derive(Debug, Clone, Copy)]
@@ -415,8 +415,8 @@ impl ConsumerTopology for ShardedByLine {
 /// in global epoch order. Sound for summarizable lifeguards (TaintCheck's
 /// transfer-function summaries) whose state composes across epochs.
 ///
-/// Execution models: `run_epoch_parallel` models each worker's clock and
-/// the merge core's stitch on one thread; `run_live_epoch_parallel` runs
+/// Execution models: `RunMode::EpochParallel` models each worker's clock and
+/// the merge core's stitch on one thread; `RunMode::LiveEpochParallel` runs
 /// one consumer OS thread per worker plus a merge thread that stitches
 /// summaries round-robin as workers finish epochs.
 #[derive(Debug, Clone)]
@@ -473,7 +473,7 @@ impl ConsumerTopology for EpochRouted {
 /// — every frame already sits in its stream and each consumer replays its
 /// stream independently ([`Route::Single`] per stream).
 ///
-/// Execution models: `run_replay` (and `run_replay_epoch` for epoch-mode
+/// Execution models: `RunMode::Replay` (and `RunMode::ReplayEpoch` for epoch-mode
 /// recordings) replay the streams sequentially on the host with modeled
 /// lifeguard clocks; there is no live variant because replay has no
 /// producer to decouple from.
@@ -591,7 +591,7 @@ pub enum TopologyKind {
 
 /// One run mode in the registry: how it executes, what topology it
 /// instantiates, which lifeguards it supports, how its outcome relates
-/// to the sequential `run_lba` baseline, and which benchmark trajectory
+/// to the sequential `RunMode::Lba` baseline, and which benchmark trajectory
 /// series it owns.
 #[derive(Debug, Clone, Copy)]
 pub struct RunModeSpec {

@@ -2,10 +2,10 @@
 //! lifeguard worker per shard — the production topology for heavy
 //! traffic.
 //!
-//! [`run_live_parallel`](crate::run_live_parallel) shards the lifeguard
-//! across OS threads sharing an address space; this module keeps the
-//! identical sharded pipeline but moves each shard's frame stream onto a
-//! Unix-domain socket speaking the `lbas/1` wire protocol
+//! [`run_live_parallel`](crate::live_parallel::run_live_parallel) shards
+//! the lifeguard across OS threads sharing an address space; this module
+//! keeps the identical sharded pipeline but moves each shard's frame
+//! stream onto a Unix-domain socket speaking the `lbas/1` wire protocol
 //! ([`lba_transport::socket`]) — the shape where capture and lifeguards
 //! run in different *processes* (and, with the TCP `WireStream`, on
 //! different hosts). Each worker owns a full decoder, dispatch engine and
@@ -30,8 +30,9 @@
 //! worker counts.
 //!
 //! Like the other sharded modes, TaintCheck is unsupported here (use
-//! [`crate::run_live_taint_parallel`]); the registry's capability flags
-//! enforce this through the unified [`Run`](crate::Run) entry point.
+//! [`run_live_epoch_parallel`](crate::epoch_parallel::run_live_epoch_parallel));
+//! the registry's capability flags enforce this through the unified
+//! [`Run`](crate::Run) entry point.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
@@ -67,7 +68,7 @@ const LG_CORE: usize = 1;
 /// [`UnixStream`](std::os::unix::net::UnixStream) (or `TcpStream`) from
 /// another process to the same worker loop is deployment, not new code.
 ///
-/// Configuration mirrors [`run_live_parallel`](crate::run_live_parallel):
+/// Configuration mirrors [`run_live_parallel`](crate::live_parallel::run_live_parallel):
 /// `filter` and `syscall_stall` are ignored, `idempotency_window` and the
 /// adaptive controller apply on the producer, `record_to` tees each
 /// shard's stream to disk, `channel_stall_timeout` bounds how long the
@@ -87,7 +88,7 @@ const LG_CORE: usize = 1;
 /// # Panics
 ///
 /// Panics if `workers` is zero.
-pub fn run_remote(
+pub(crate) fn run_remote(
     program: &Program,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     workers: usize,
@@ -234,7 +235,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let config = SystemConfig::default();
         let report =
-            run_remote(&program, || LifeguardKind::AddrCheck.make_lba(), 4, &config).unwrap();
+            run_remote(&program, LifeguardKind::AddrCheck.spec().make, 4, &config).unwrap();
         use FindingKind::*;
         for kind in [UnallocatedAccess, DoubleFree, InvalidFree, Leak] {
             assert!(
@@ -254,10 +255,9 @@ mod tests {
     fn per_shard_wire_streams_match_the_in_process_live_mode() {
         let program = bugs::data_race();
         let config = SystemConfig::default();
-        let remote =
-            run_remote(&program, || LifeguardKind::LockSet.make_lba(), 2, &config).unwrap();
+        let remote = run_remote(&program, LifeguardKind::LockSet.spec().make, 2, &config).unwrap();
         let live =
-            run_live_parallel(&program, || LifeguardKind::LockSet.make_lba(), 2, &config).unwrap();
+            run_live_parallel(&program, LifeguardKind::LockSet.spec().make, 2, &config).unwrap();
         assert_eq!(remote.channels.len(), live.channels.len());
         for (shard, (r, l)) in remote.channels.iter().zip(&live.channels).enumerate() {
             assert_eq!(
@@ -284,7 +284,7 @@ mod tests {
         });
         let start = std::time::Instant::now();
         let err =
-            run_remote(&program, || LifeguardKind::AddrCheck.make_lba(), 1, &config).unwrap_err();
+            run_remote(&program, LifeguardKind::AddrCheck.spec().make, 1, &config).unwrap_err();
         assert!(
             matches!(err, LbaError::Run(RunError::ChannelStalled)),
             "got: {err}"
@@ -301,7 +301,7 @@ mod tests {
         let program = bugs::memory_bugs();
         let _ = run_remote(
             &program,
-            || LifeguardKind::AddrCheck.make_lba(),
+            LifeguardKind::AddrCheck.spec().make,
             0,
             &SystemConfig::default(),
         );

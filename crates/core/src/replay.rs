@@ -3,7 +3,7 @@
 //!
 //! A run with [`LogConfig::record_to`](crate::LogConfig) set leaves a
 //! directory of segmented `lbas/1` streams behind — the exact sealed wire
-//! frames its transport shipped, one stream per shard. [`run_replay`]
+//! frames its transport shipped, one stream per shard. [`run_replay_with`]
 //! opens that directory, validates the headers, re-decodes every frame
 //! through the real [`FrameDecoder`], and delivers the records to a fresh
 //! lifeguard per stream: yesterday's traffic, today's (possibly
@@ -125,8 +125,8 @@ impl From<StreamError> for ReplayError {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ReplayMode {
     /// Any stream damage is fatal: the replay fails with a descriptive
-    /// [`ReplayError`] and delivers nothing. The default, and what
-    /// [`run_replay`] always does.
+    /// [`ReplayError`] and delivers nothing. The default for
+    /// [`RunMode::Replay`](crate::RunMode::Replay).
     #[default]
     Strict,
     /// A torn or truncated *tail* is survivable: the checksummed prefix
@@ -151,37 +151,16 @@ pub enum ReplayMode {
 /// Replay is functional, not timed: records are delivered frame-at-a-time
 /// at maximum speed, with no transport model in the loop.
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Replay` with `replay_from(dir)`); this free function
-/// remains the mode's direct entry point.
-///
 /// # Errors
 ///
 /// See [`ReplayError`]: stream-layer damage, a codec-version mismatch,
-/// or a frame that fails to decode.
-pub fn run_replay(
-    dir: impl AsRef<Path>,
-    make_lifeguard: impl Fn() -> Box<dyn Lifeguard>,
-    config: &SystemConfig,
-) -> Result<ReplayReport, ReplayError> {
-    run_replay_with(dir, make_lifeguard, config, ReplayMode::Strict)
-}
-
-/// [`run_replay`] with an explicit damage policy — see [`ReplayMode`].
-///
-/// # Errors
-///
-/// As [`run_replay`] under [`ReplayMode::Strict`]. Under
-/// [`ReplayMode::SalvagePrefix`] a mid-stream tear is *not* an error:
-/// the damaged stream's checksummed prefix is delivered and the loss is
-/// reported in [`ReplayReport::salvaged`]. Errors that precede any frame
+/// or a frame that fails to decode. Under [`ReplayMode::SalvagePrefix`]
+/// a mid-stream tear is *not* an error: the damaged stream's checksummed
+/// prefix is delivered and the loss is reported in
+/// [`ReplayReport::salvaged`]. Errors that precede any frame
 /// (unopenable stream, codec mismatch, no streams at all) and decode
 /// failures of *intact* frames remain fatal in both modes.
-///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Replay` with `replay_mode(mode)`); this free function
-/// remains the mode's direct entry point.
-pub fn run_replay_with(
+pub(crate) fn run_replay_with(
     dir: impl AsRef<Path>,
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard>,
     config: &SystemConfig,

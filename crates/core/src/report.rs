@@ -329,7 +329,7 @@ impl fmt::Display for RunReport {
 }
 
 /// Per-stream accounting of an offline replay
-/// ([`run_replay`](crate::run_replay)).
+/// ([`RunMode::Replay`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayStreamStats {
     /// The stream id (shard index of the recording run; 0 unsharded).
@@ -362,7 +362,7 @@ pub struct SalvagedTail {
 }
 
 /// The result of replaying a recorded flight-recorder stream set through
-/// a lifeguard ([`run_replay`](crate::run_replay)).
+/// a lifeguard ([`RunMode::Replay`]).
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
     /// Recording directory the replay consumed.

@@ -14,14 +14,15 @@ use crate::runner::RunMode;
 /// Runs `program` with no monitoring: the paper's normalisation baseline
 /// (the denominator of every bar in Figure 2).
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Unmonitored`); this free function remains the mode's
-/// direct entry point.
+/// [`Run`](crate::Run) drives this runner for `RunMode::Unmonitored`.
 ///
 /// # Errors
 ///
 /// Propagates any [`RunError`] from the machine.
-pub fn run_unmonitored(program: &Program, config: &SystemConfig) -> Result<RunReport, RunError> {
+pub(crate) fn run_unmonitored(
+    program: &Program,
+    config: &SystemConfig,
+) -> Result<RunReport, RunError> {
     let mut machine = Machine::new(program, config.machine);
     let mut mem = MemSystem::new(config.mem_single());
     let mut trace = TraceStats::new();
@@ -40,14 +41,12 @@ pub fn run_unmonitored(program: &Program, config: &SystemConfig) -> Result<RunRe
 /// instruction is instrumented inline on the application core, with the
 /// lifeguard's shadow traffic sharing the application's caches.
 ///
-/// New code should prefer the unified [`Run`](crate::Run) builder
-/// (`RunMode::Dbi`); this free function remains the mode's direct entry
-/// point.
+/// [`Run`](crate::Run) drives this runner for `RunMode::Dbi`.
 ///
 /// # Errors
 ///
 /// Propagates any [`RunError`] from the machine.
-pub fn run_dbi(
+pub(crate) fn run_dbi(
     program: &Program,
     lifeguard: &mut dyn Lifeguard,
     config: &SystemConfig,

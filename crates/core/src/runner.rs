@@ -1,84 +1,83 @@
 //! One entry point for every execution model: the [`Run`] builder.
-//!
-//! The run modes accreted as free functions — thirteen of them by the
-//! time the socket transport landed — each with its own argument shape
-//! (`&mut dyn Lifeguard` here, a factory closure there, a hardwired
-//! `TaintCheck` in the epoch modes) and its own error type. [`Run`]
-//! collapses them behind one registry-driven builder:
-//!
-//! ```
-//! use lba::{LifeguardKind, Run, RunMode};
-//! use lba_workloads::bugs;
-//!
-//! let program = bugs::memory_bugs();
-//! let outcome = Run::new(&program)
-//!     .mode(RunMode::Live)
-//!     .monitor(LifeguardKind::AddrCheck)
-//!     .run()?;
-//! assert!(!outcome.findings.is_empty()); // Derefs to PipelineReport
-//! assert_eq!(outcome.mode, RunMode::Live);
-//! # Ok::<(), lba::LbaError>(())
-//! ```
-//!
-//! The builder validates the mode/monitor pairing against the capability
-//! flags in [`pipeline::MONITORS`](crate::MONITORS) and
-//! [`pipeline::RUN_MODES`](crate::RUN_MODES) *before* running anything —
-//! sharding TaintCheck is an [`LbaError::Unsupported`] with the reason,
-//! not a wrong answer — and folds every mode's failure into [`LbaError`].
-//! A run comes back in one of the three report shapes of
-//! [`report`](crate::report), chosen by what the mode measures: a
-//! [`RunReport`] with modeled clocks, the bare [`PipelineReport`] core
-//! for the live modes, or a [`ReplayReport`]. [`RunOutcome`] holds one
-//! of them and [`Deref`]s to the core, so mode-generic callers (the
-//! bench harness, the equivalence grid) read findings, log statistics
-//! and per-channel accounting without matching on the shape.
 
 use std::fmt;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
 use lba_isa::Program;
+use lba_lifeguard::Lifeguard;
 use lba_lifeguards::TaintCheck;
 
 use crate::config::{RecordConfig, SystemConfig};
+use crate::cosim::run_lba;
+use crate::epoch_parallel::{run_epoch_parallel, run_live_epoch_parallel, run_replay_epoch};
 use crate::error::LbaError;
 use crate::kind::LifeguardKind;
+use crate::live::run_live;
+use crate::live_parallel::run_live_parallel;
+use crate::parallel::run_lba_parallel;
 use crate::pipeline::{MonitorSpec, RunModeSpec, TopologyKind, RUN_MODES};
-use crate::replay::ReplayMode;
+use crate::remote::run_remote;
+use crate::replay::{run_replay_with, ReplayMode};
 use crate::report::{PipelineReport, ReplayReport, RunReport};
+use crate::run::{run_dbi, run_unmonitored};
 
 /// Every execution model the builder can drive: the nine registry modes
 /// (see [`RUN_MODES`]) plus the two unmonitored/inline baselines, which
 /// stand outside the registry because they ship no log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunMode {
-    /// Modeled co-simulation with exact clocks ([`crate::run_lba`]).
+    /// The proposed system, co-simulated with exact modeled clocks:
+    /// capture → compression → framed log channel → dispatch → lifeguard
+    /// on a second core, with decoupled clocks, back-pressure and
+    /// syscall-stall containment.
     Lba,
-    /// Real threads over an in-process framed channel
-    /// ([`crate::run_live`]).
+    /// The same framed pipeline over a real SPSC channel between OS
+    /// threads: one queue operation per frame, real wire bytes measured.
     Live,
-    /// Modeled address-sharded fan-out ([`crate::parallel::run_lba_parallel`]).
+    /// Modeled address-sharded fan-out: load/store records route to the
+    /// lifeguard shard owning their cache line (the paper's §3 future
+    /// work).
     LbaParallel,
-    /// Sharded lifeguards on real threads ([`crate::run_live_parallel`]).
+    /// Sharded lifeguards on real threads: every shard is its own
+    /// compressed frame stream with its own predictor bank and consumer
+    /// thread.
     LiveParallel,
-    /// Sharded lifeguards behind real sockets ([`crate::run_remote`]).
+    /// Sharded lifeguards behind real Unix-domain sockets (`lbas/1`
+    /// framing), a credit window carrying back-pressure across the wire;
+    /// per-shard wire streams and findings equal [`RunMode::LiveParallel`]'s.
     Remote,
-    /// Modeled epoch-parallel taint tracking
-    /// ([`crate::run_taint_parallel`]).
+    /// Modeled epoch-parallel taint tracking: the stream is cut into
+    /// whole epochs at syscalls and every `log.epoch_records` records,
+    /// workers summarize epochs symbolically, and a merge core stitches
+    /// the summaries in order — findings byte-identical to the
+    /// sequential run.
+    ///
+    /// **The speedup is modeled-only.** 4 workers finish gzip in 3.5×
+    /// fewer modeled cycles than sequential TaintCheck, but the clocks
+    /// count idealised handler charges and ignore the host cost of
+    /// building and resolving summaries. On wall clock (gzip, 2-vCPU
+    /// host, best of 5) sequential [`RunMode::Lba`] TaintCheck runs at
+    /// about 15.8M records/s, this mode with one worker at about 8.6M/s
+    /// and [`RunMode::LiveEpochParallel`] with two workers at about
+    /// 7.1M/s: summarizing costs about 3.7× sequential dispatch per
+    /// record.
     EpochParallel,
-    /// Epoch-parallel taint tracking on real threads
-    /// ([`crate::run_live_taint_parallel`]).
+    /// Epoch-parallel taint tracking on real threads: one producer,
+    /// `workers` summarizer threads, one merge thread.
     LiveEpochParallel,
-    /// Offline replay of a flight-recorder stream set
-    /// ([`crate::run_replay`]); needs [`Run::replay_from`].
+    /// Offline replay of a flight-recorder stream set through any
+    /// lifeguard, findings and wire bits byte-identical to the recording
+    /// run; needs [`Run::replay_from`], and [`Run::replay_mode`] picks
+    /// the damage policy.
     Replay,
-    /// Epoch-parallel replay of a sharded recording
-    /// ([`crate::run_replay_epoch`]); needs [`Run::replay_from`].
+    /// Epoch-parallel replay of a recorded epoch run, epochs rebuilt from
+    /// the frame marks; needs [`Run::replay_from`].
     ReplayEpoch,
-    /// The program alone, no monitoring ([`crate::run_unmonitored`]).
+    /// The program alone, no monitoring.
     Unmonitored,
-    /// The lifeguard inline via dynamic binary instrumentation
-    /// ([`crate::run_dbi`]).
+    /// The comparison point: the lifeguard inline via Valgrind-style
+    /// dynamic binary instrumentation on the application core.
     Dbi,
 }
 
@@ -130,33 +129,80 @@ impl fmt::Display for RunMode {
     }
 }
 
-/// A monitor selection: anything that resolves to a
-/// [`MONITORS`](crate::MONITORS) row.
-/// [`LifeguardKind`] covers the paper's three; pass a
-/// [`&'static MonitorSpec`](MonitorSpec) directly for the extensions
-/// (MemProfile) or custom registry entries.
-#[derive(Debug, Clone, Copy)]
-pub struct MonitorChoice(&'static MonitorSpec);
+/// A monitor selection: a registry row every consumer builds its own
+/// fresh instance from, or a caller-owned instance lent for the run.
+pub enum MonitorChoice<'a> {
+    /// A [`MONITORS`](crate::MONITORS) row. [`LifeguardKind`] covers the
+    /// paper's three; pass a [`&'static MonitorSpec`](MonitorSpec)
+    /// directly for the extensions (MemProfile) or custom registry
+    /// entries.
+    Registry(&'static MonitorSpec),
+    /// A caller-owned lifeguard (`&mut` any [`Lifeguard`]): the run
+    /// dispatches to this very instance, so its state can be read once
+    /// the run returns. Only the single-lifeguard modes [`RunMode::Lba`],
+    /// [`RunMode::Live`] and [`RunMode::Dbi`] take one; every other mode
+    /// builds its lifeguards from a registry row and rejects a lent
+    /// instance as [`LbaError::InvalidRequest`].
+    Lent(&'a mut dyn Lifeguard),
+}
 
-impl From<&'static MonitorSpec> for MonitorChoice {
+impl From<&'static MonitorSpec> for MonitorChoice<'_> {
     fn from(spec: &'static MonitorSpec) -> Self {
-        MonitorChoice(spec)
+        MonitorChoice::Registry(spec)
     }
 }
 
-impl From<LifeguardKind> for MonitorChoice {
+impl From<LifeguardKind> for MonitorChoice<'_> {
     fn from(kind: LifeguardKind) -> Self {
-        MonitorChoice(kind.spec())
+        MonitorChoice::Registry(kind.spec())
     }
 }
 
-/// Builder for one monitored run — see the [module docs](self) for the
-/// shape. Defaults: [`RunMode::Lba`], AddrCheck, 2 workers,
-/// [`SystemConfig::default`], [`ReplayMode::Strict`].
+impl<'a, L: Lifeguard + 'a> From<&'a mut L> for MonitorChoice<'a> {
+    fn from(lifeguard: &'a mut L) -> Self {
+        MonitorChoice::Lent(lifeguard)
+    }
+}
+
+/// Builder for one monitored run. Defaults: [`RunMode::Lba`],
+/// AddrCheck, 2 workers, [`SystemConfig::default`],
+/// [`ReplayMode::Strict`].
+///
+/// Each mode has a crate-private runner with its own argument shape (a
+/// `&mut dyn Lifeguard` here, a factory closure there, a hardwired
+/// `TaintCheck` master in the epoch modes) and its own error type.
+/// This builder is the one public way to drive any of them:
+///
+/// ```
+/// use lba::{LifeguardKind, Run, RunMode};
+/// use lba_workloads::bugs;
+///
+/// let program = bugs::memory_bugs();
+/// let outcome = Run::new(&program)
+///     .mode(RunMode::Live)
+///     .monitor(LifeguardKind::AddrCheck)
+///     .run()?;
+/// assert!(!outcome.findings.is_empty()); // Derefs to PipelineReport
+/// assert_eq!(outcome.mode, RunMode::Live);
+/// # Ok::<(), lba::LbaError>(())
+/// ```
+///
+/// The builder validates the mode/monitor pairing against the capability
+/// flags in [`pipeline::MONITORS`](crate::MONITORS) and
+/// [`pipeline::RUN_MODES`](crate::RUN_MODES) *before* running anything —
+/// sharding TaintCheck is an [`LbaError::Unsupported`] with the reason,
+/// not a wrong answer — and folds every mode's failure into [`LbaError`].
+/// A run comes back in one of the three report shapes of
+/// [`report`](crate::report), chosen by what the mode measures: a
+/// [`RunReport`] with modeled clocks, the bare [`PipelineReport`] core
+/// for the live modes, or a [`ReplayReport`]. [`RunOutcome`] holds one
+/// of them and [`Deref`]s to the core, so mode-generic callers (the
+/// bench harness, the equivalence grid) read findings, log statistics
+/// and per-channel accounting without matching on the shape.
 pub struct Run<'a> {
     program: &'a Program,
     mode: RunMode,
-    monitor: MonitorChoice,
+    monitor: MonitorChoice<'a>,
     workers: usize,
     config: Option<&'a SystemConfig>,
     replay_from: Option<PathBuf>,
@@ -186,11 +232,12 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Selects the lifeguard: a [`LifeguardKind`] or a
-    /// [`&'static MonitorSpec`](MonitorSpec) row. Ignored by
+    /// Selects the lifeguard: a [`LifeguardKind`], a
+    /// [`&'static MonitorSpec`](MonitorSpec) row, or `&mut` a lifeguard
+    /// instance to lend (see [`MonitorChoice::Lent`]). Ignored by
     /// [`RunMode::Unmonitored`].
     #[must_use]
-    pub fn monitor(mut self, monitor: impl Into<MonitorChoice>) -> Self {
+    pub fn monitor(mut self, monitor: impl Into<MonitorChoice<'a>>) -> Self {
         self.monitor = monitor.into();
         self
     }
@@ -233,25 +280,12 @@ impl<'a> Run<'a> {
     /// [`LbaError::Unsupported`] when the mode's `supports` predicate
     /// rejects the monitor (before anything runs);
     /// [`LbaError::InvalidRequest`] for a replay mode with no
-    /// [`replay_from`](Self::replay_from) directory or a fan-out mode
-    /// with zero workers; otherwise whatever the underlying mode reports,
-    /// folded into [`LbaError`].
+    /// [`replay_from`](Self::replay_from) directory, a fan-out mode with
+    /// zero workers, an epoch mode with `log.epoch_records == 0`, or a
+    /// lent instance for a mode other than [`RunMode::Lba`],
+    /// [`RunMode::Live`] and [`RunMode::Dbi`]; otherwise whatever the
+    /// underlying mode reports, folded into [`LbaError`].
     pub fn run(self) -> Result<RunOutcome, LbaError> {
-        let monitor = self.monitor.0;
-        if let Some(spec) = self.mode.registry_spec() {
-            if !(spec.supports)(monitor) {
-                return Err(LbaError::Unsupported {
-                    mode: spec.name,
-                    monitor: monitor.name.to_string(),
-                });
-            }
-            let fan_out = matches!(spec.topology, TopologyKind::Sharded | TopologyKind::Epoch);
-            if fan_out && self.workers == 0 {
-                return Err(LbaError::InvalidRequest {
-                    detail: format!("mode `{}` needs at least one worker", self.mode),
-                });
-            }
-        }
         let default_config;
         let config = match self.config {
             Some(config) => config,
@@ -260,80 +294,95 @@ impl<'a> Run<'a> {
                 &default_config
             }
         };
-        let replay_dir = |dir: Option<PathBuf>| {
-            dir.ok_or_else(|| LbaError::InvalidRequest {
-                detail: format!(
-                    "mode `{}` replays a recording: set `replay_from(dir)`",
-                    self.mode
-                ),
+        let (program, mode, workers) = (self.program, self.mode, self.workers);
+        let monitor = match self.monitor {
+            MonitorChoice::Registry(spec) => spec,
+            MonitorChoice::Lent(lifeguard) => return run_single(mode, program, lifeguard, config),
+        };
+        if let Some(spec) = mode.registry_spec() {
+            if !(spec.supports)(monitor) {
+                return Err(LbaError::Unsupported {
+                    mode: spec.name,
+                    monitor: monitor.name.to_string(),
+                });
+            }
+            let invalid = |detail: &str| {
+                Err(LbaError::InvalidRequest {
+                    detail: format!("mode `{mode}` needs {detail}"),
+                })
+            };
+            let fan_out = matches!(spec.topology, TopologyKind::Sharded | TopologyKind::Epoch);
+            if fan_out && workers == 0 {
+                return invalid("at least one worker");
+            }
+            if spec.topology == TopologyKind::Epoch && config.log.epoch_records == 0 {
+                return invalid("`log.epoch_records` of at least one");
+            }
+        }
+        let dir = || {
+            self.replay_from.ok_or_else(|| LbaError::InvalidRequest {
+                detail: format!("mode `{mode}` replays a recording: set `replay_from(dir)`"),
             })
         };
-        let (program, workers) = (self.program, self.workers);
         // The supports check admitted only epoch-capable monitors to the
         // epoch modes, and TaintCheck is the one epoch summariser
         // implemented.
-        Ok(match self.mode {
-            RunMode::Lba => RunOutcome::Run(crate::cosim::run_lba(
-                program,
-                (monitor.make)().as_mut(),
-                config,
-            )?),
-            RunMode::Live => RunOutcome::Live(crate::live::run_live(
-                program,
-                (monitor.make)().as_mut(),
-                config,
-            )?),
-            RunMode::LbaParallel => RunOutcome::Run(crate::parallel::run_lba_parallel(
-                program,
-                monitor.make,
-                workers,
-                config,
-            )?),
-            RunMode::LiveParallel => RunOutcome::Live(crate::live_parallel::run_live_parallel(
-                program,
-                monitor.make,
-                workers,
-                config,
-            )?),
-            RunMode::Remote => RunOutcome::Live(crate::remote::run_remote(
-                program,
-                monitor.make,
-                workers,
-                config,
-            )?),
-            RunMode::EpochParallel => RunOutcome::Run(crate::epoch_parallel::run_epoch_parallel(
-                program,
-                &mut TaintCheck::new(),
-                workers,
-                config,
-            )?),
-            RunMode::LiveEpochParallel => {
-                RunOutcome::Live(crate::epoch_parallel::run_live_epoch_parallel(
-                    program,
-                    &mut TaintCheck::new(),
-                    workers,
-                    config,
-                )?)
+        let (make, taint) = (monitor.make, TaintCheck::new);
+        Ok(match mode {
+            RunMode::Lba | RunMode::Live => {
+                return run_single(mode, program, make().as_mut(), config)
             }
-            RunMode::Replay => RunOutcome::Replay(crate::replay::run_replay_with(
-                replay_dir(self.replay_from)?,
-                monitor.make,
-                config,
-                self.replay_mode,
-            )?),
-            RunMode::ReplayEpoch => RunOutcome::Replay(crate::epoch_parallel::run_replay_epoch(
-                replay_dir(self.replay_from)?,
-                &mut TaintCheck::new(),
-                config,
-            )?),
-            RunMode::Unmonitored => RunOutcome::Run(crate::run::run_unmonitored(program, config)?),
-            RunMode::Dbi => RunOutcome::Run(crate::run::run_dbi(
+            RunMode::Dbi => {
+                return run_single(mode, program, (monitor.make_dbi)().as_mut(), config)
+            }
+            RunMode::LbaParallel => {
+                RunOutcome::Run(run_lba_parallel(program, make, workers, config)?)
+            }
+            RunMode::LiveParallel => {
+                RunOutcome::Live(run_live_parallel(program, make, workers, config)?)
+            }
+            RunMode::Remote => RunOutcome::Live(run_remote(program, make, workers, config)?),
+            RunMode::EpochParallel => {
+                RunOutcome::Run(run_epoch_parallel(program, &mut taint(), workers, config)?)
+            }
+            RunMode::LiveEpochParallel => RunOutcome::Live(run_live_epoch_parallel(
                 program,
-                (monitor.make_dbi)().as_mut(),
+                &mut taint(),
+                workers,
                 config,
             )?),
+            RunMode::Replay => {
+                RunOutcome::Replay(run_replay_with(dir()?, make, config, self.replay_mode)?)
+            }
+            RunMode::ReplayEpoch => {
+                RunOutcome::Replay(run_replay_epoch(dir()?, &mut taint(), config)?)
+            }
+            RunMode::Unmonitored => RunOutcome::Run(run_unmonitored(program, config)?),
         })
     }
+}
+
+/// Runs one of the three modes that dispatch to a single lifeguard
+/// instance, the caller's or one built from a registry row.
+fn run_single(
+    mode: RunMode,
+    program: &Program,
+    lifeguard: &mut dyn Lifeguard,
+    config: &SystemConfig,
+) -> Result<RunOutcome, LbaError> {
+    Ok(match mode {
+        RunMode::Lba => RunOutcome::Run(run_lba(program, lifeguard, config)?),
+        RunMode::Live => RunOutcome::Live(run_live(program, lifeguard, config)?),
+        RunMode::Dbi => RunOutcome::Run(run_dbi(program, lifeguard, config)?),
+        _ => {
+            return Err(LbaError::InvalidRequest {
+                detail: format!(
+                    "mode `{mode}` builds its lifeguards from a registry row: \
+                     lend an instance only to `lba`, `live` or `dbi`"
+                ),
+            })
+        }
+    })
 }
 
 /// Runs `mode` over `program` the way the cross-mode harnesses drive
@@ -350,11 +399,10 @@ impl<'a> Run<'a> {
 pub fn record_then_run(
     program: &Program,
     mode: RunMode,
-    monitor: impl Into<MonitorChoice>,
+    monitor: impl for<'m> Into<MonitorChoice<'m>> + Copy,
     config: &SystemConfig,
     scratch: &Path,
 ) -> Result<RunOutcome, LbaError> {
-    let monitor = monitor.into();
     let request = |mode| {
         Run::new(program)
             .mode(mode)
@@ -507,8 +555,7 @@ mod tests {
                 let RunOutcome::Run(built) = built else {
                     panic!("DBI runs report modeled clocks");
                 };
-                let direct =
-                    crate::run::run_dbi(&program, (spec.make_dbi)().as_mut(), &config).unwrap();
+                let direct = run_dbi(&program, (spec.make_dbi)().as_mut(), &config).unwrap();
                 assert_eq!(
                     built.total_cycles,
                     direct.total_cycles,
@@ -550,14 +597,61 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_is_an_invalid_request_not_a_panic() {
-        let program = bugs::memory_bugs();
-        let err = Run::new(&program)
-            .mode(RunMode::Remote)
-            .workers(0)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, LbaError::InvalidRequest { .. }));
+    fn zero_workers_or_epoch_records_is_an_invalid_request_not_a_panic() {
+        let program = bugs::tainted_syscall();
+        let mut no_epochs = SystemConfig::default();
+        no_epochs.log.epoch_records = 0;
+        let cases = [
+            (
+                RunMode::Remote,
+                LifeguardKind::AddrCheck,
+                0,
+                SystemConfig::default(),
+            ),
+            (
+                RunMode::EpochParallel,
+                LifeguardKind::TaintCheck,
+                2,
+                no_epochs.clone(),
+            ),
+            (
+                RunMode::LiveEpochParallel,
+                LifeguardKind::TaintCheck,
+                2,
+                no_epochs,
+            ),
+        ];
+        for (mode, monitor, workers, config) in cases {
+            let request = Run::new(&program).mode(mode).monitor(monitor);
+            let err = request.workers(workers).config(&config).run().unwrap_err();
+            assert!(matches!(err, LbaError::InvalidRequest { .. }), "{mode}");
+        }
+    }
+
+    #[test]
+    fn only_the_single_lifeguard_modes_take_a_lent_lifeguard() {
+        // The lent instance is the one dispatched to; every other mode
+        // refuses it before anything runs.
+        let program = bugs::data_race();
+        for mode in RunMode::ALL {
+            let mut lockset = lba_lifeguards::LockSet::new();
+            let request = Run::new(&program).mode(mode).monitor(&mut lockset);
+            let lent = request.replay_from(std::env::temp_dir()).run();
+            if let RunMode::Lba | RunMode::Live | RunMode::Dbi = mode {
+                let built = Run::new(&program)
+                    .mode(mode)
+                    .monitor(LifeguardKind::LockSet);
+                let built = built.run().unwrap();
+                assert_eq!(lent.unwrap().findings, built.findings, "{mode}");
+                assert!(!built.findings.is_empty(), "{mode}");
+                assert!(lockset.checked_accesses() > 0, "{mode}");
+            } else {
+                let err = lent.unwrap_err();
+                assert!(matches!(err, LbaError::InvalidRequest { .. }), "{mode}");
+                assert!(err.to_string().contains("lend"), "{mode}: {err}");
+                assert_eq!(lockset.checked_accesses(), 0, "{mode}: nothing ran");
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //!   transfer functions over unknown epoch-entry state, which a merge
 //!   step resolves sequentially — byte-identical findings, summarize
 //!   work off the critical path (see the module's soundness argument
-//!   and `lba_core::run_taint_parallel`).
+//!   and `lba_core`'s `RunMode::EpochParallel`).
 //!
 //! # Degradation contracts
 //!

@@ -29,9 +29,9 @@ use lba_record::{EventKind, EventRecord};
 /// (`(addr / 64) % shards`), and a capture-side `Repeat` fold summary
 /// routes with the line-local accesses it summarizes; every other kind
 /// (alloc/free, lock/unlock, syscalls, …) is broadcast because it updates
-/// state all shards need. Both the modeled (`run_lba_parallel`) and live
-/// (`run_live_parallel`) sharded modes route with this function, so their
-/// per-shard record streams — and therefore their per-shard wire
+/// state all shards need. Both the modeled (`RunMode::LbaParallel`) and
+/// live (`RunMode::LiveParallel`) sharded modes route with this function,
+/// so their per-shard record streams — and therefore their per-shard wire
 /// streams — are identical.
 ///
 /// # Panics

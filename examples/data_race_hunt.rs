@@ -6,18 +6,15 @@
 //! cargo run --release --example data_race_hunt
 //! ```
 
-use lba::{run_lba, run_unmonitored, SystemConfig};
+use lba::{LifeguardKind, Run, RunMode, RunOutcome};
 use lba_lifeguard::FindingKind;
 use lba_lifeguards::LockSet;
 use lba_workloads::{bugs, Benchmark};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = SystemConfig::default();
-
     // 1. The buggy counter.
     let racy = bugs::data_race();
-    let mut lockset = LockSet::new();
-    let report = run_lba(&racy, &mut lockset, &config)?;
+    let report = Run::new(&racy).monitor(LifeguardKind::LockSet).run()?;
     println!("data-race program: {} findings", report.findings.len());
     for finding in report.findings_of(FindingKind::DataRace) {
         println!("  {finding}");
@@ -26,9 +23,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. The disciplined multithreaded benchmark: no false positives.
     let water = Benchmark::Water.build();
-    let baseline = run_unmonitored(&water, &config)?;
+    // Lend the lifeguard to the run so its counters can be read after.
     let mut lockset = LockSet::new();
-    let clean = run_lba(&water, &mut lockset, &config)?;
+    let (RunOutcome::Run(baseline), RunOutcome::Run(clean)) = (
+        Run::new(&water).mode(RunMode::Unmonitored).run()?,
+        Run::new(&water).monitor(&mut lockset).run()?,
+    ) else {
+        unreachable!("Unmonitored and Lba report modeled clocks");
+    };
     println!(
         "\nwater (4 threads, lock-disciplined): {} findings at {:.1}x slowdown",
         clean.findings.len(),

@@ -7,7 +7,7 @@
 //! cargo run --release --example flight_recorder
 //! ```
 
-use lba::{run_lba, run_replay, LifeguardKind, RecordConfig, SystemConfig};
+use lba::{LifeguardKind, RecordConfig, Run, RunMode, SystemConfig};
 use lba_workloads::bugs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,8 +19,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = bugs::data_race();
     let mut config = SystemConfig::default();
     config.log.record_to = Some(RecordConfig::new(&dir));
-    let mut addrcheck = LifeguardKind::AddrCheck.make_lba();
-    let recorded = run_lba(&program, addrcheck.as_mut(), &config)?;
+    let recorded = Run::new(&program)
+        .monitor(LifeguardKind::AddrCheck)
+        .config(&config)
+        .run()?;
     println!(
         "live run under AddrCheck: {} findings, {} wire bits recorded",
         recorded.findings.len(),
@@ -36,7 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Yesterday's traffic, today's analysis: replay the same recording
     //    through LockSet. The data race AddrCheck could not see is in the
     //    log all along.
-    let replay = run_replay(&dir, || LifeguardKind::LockSet.make_lba(), &config)?;
+    let replay = Run::new(&program)
+        .mode(RunMode::Replay)
+        .monitor(LifeguardKind::LockSet)
+        .config(&config)
+        .replay_from(&dir)
+        .run()?;
     println!("\n{replay}");
     assert!(
         !replay.findings.is_empty(),

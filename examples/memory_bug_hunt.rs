@@ -6,18 +6,20 @@
 //! cargo run --release --example memory_bug_hunt
 //! ```
 
-use lba::{run_lba, run_unmonitored, SystemConfig};
+use lba::{LifeguardKind, Run, RunMode, RunOutcome};
 use lba_lifeguard::FindingKind;
-use lba_lifeguards::AddrCheck;
 use lba_workloads::bugs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = bugs::memory_bugs();
-    let config = SystemConfig::default();
-
-    let baseline = run_unmonitored(&program, &config)?;
-    let mut addrcheck = AddrCheck::new();
-    let report = run_lba(&program, &mut addrcheck, &config)?;
+    let baseline = Run::new(&program).mode(RunMode::Unmonitored).run()?;
+    let report = Run::new(&program)
+        .mode(RunMode::Lba)
+        .monitor(LifeguardKind::AddrCheck)
+        .run()?;
+    let (RunOutcome::Run(baseline), RunOutcome::Run(report)) = (baseline, report) else {
+        unreachable!("Unmonitored and Lba report modeled clocks");
+    };
 
     println!(
         "memory-bugs under LBA AddrCheck ({:.1}x):",

@@ -5,9 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use lba::{run_lba, run_unmonitored, SystemConfig};
+use lba::{LifeguardKind, Run, RunMode, RunOutcome};
 use lba_isa::parse_program;
-use lba_lifeguards::AddrCheck;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A program with a use-after-free, written in the textual assembly.
@@ -25,12 +24,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ",
     )?;
 
-    let config = SystemConfig::default();
-    let baseline = run_unmonitored(&program, &config)?;
+    let baseline = Run::new(&program).mode(RunMode::Unmonitored).run()?;
+    let monitored = Run::new(&program)
+        .mode(RunMode::Lba)
+        .monitor(LifeguardKind::AddrCheck)
+        .run()?;
+    let (RunOutcome::Run(baseline), RunOutcome::Run(monitored)) = (baseline, monitored) else {
+        unreachable!("Unmonitored and Lba report modeled clocks");
+    };
     println!("unmonitored: {} cycles", baseline.total_cycles);
-
-    let mut addrcheck = AddrCheck::new();
-    let monitored = run_lba(&program, &mut addrcheck, &config)?;
     println!(
         "under LBA:   {} cycles ({:.1}x), log {:.3} B/inst",
         monitored.total_cycles,

@@ -54,8 +54,8 @@
 //!                 │  sealed frames → segmented  │
 //!                 │  on-disk stream, rotation + │
 //!                 │  retention (lba-record);    │
-//!                 │  run_replay re-decodes the  │
-//!                 │  recording through any      │
+//!                 │  RunMode::Replay re-decodes │
+//!                 │  the recording through any  │
 //!                 │  lifeguard, byte-identical  │
 //!                 │  (LogConfig::record_to)     │
 //!                 ├─────────────────────────────┤
@@ -69,8 +69,8 @@
 //!                 │  buffer_bytes back-pressure │
 //!                 │  + LoadSample degradation   │
 //!                 │  loop across the wire;      │
-//!                 │  run_remote puts one shard's│
-//!                 │  lifeguard behind each      │
+//!                 │  RunMode::Remote puts each  │
+//!                 │  shard's lifeguard behind a │
 //!                 │  socket (lba-transport::    │
 //!                 │  socket)                    │
 //!                 └─────────────────────────────┘
@@ -100,7 +100,7 @@
 //! | `lba-lifeguards` | the paper's four lifeguards + `TaintCheck`'s symbolic epoch summaries (`taint_summary`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` over a `pipeline::ConsumerTopology`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder dispatching every mode behind one validated entry point (the mode-shaped `run_*` functions remain as direct shims), the `LbaError` hierarchy folding every layer's failures, experiments, the three report shapes (the `PipelineReport` core the live modes return as is, `RunReport` adding modeled clocks, `ReplayReport` adding the replay's stream ledger), and the adaptive `CaptureController` closing the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` over a `pipeline::ConsumerTopology`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder, the one public way to run any `RunMode` behind one validated entry point (each mode's runner is crate-private), the `LbaError` hierarchy folding every layer's failures, experiments, the three report shapes (the `PipelineReport` core the live modes return as is, `RunReport` adding modeled clocks, `ReplayReport` adding the replay's stream ledger), and the adaptive `CaptureController` closing the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -116,45 +116,53 @@
 //! (end-to-end, application, one clock per lifeguard core, stitch,
 //! stalls); or a [`ReplayReport`] adding the replay's per-stream ledger
 //! and salvaged tails. [`RunOutcome`] holds one of them and derefs to
-//! the core. The free functions below remain as direct entry points:
+//! the core. The modes:
 //!
-//! * [`run_unmonitored`] — the baseline: the program alone on one core;
-//! * [`run_lba`] — the proposed system: capture → compression → framed log
-//!   channel → dispatch → lifeguard on a second core, with decoupled
-//!   clocks, back-pressure, and syscall-stall containment;
-//! * [`run_live`] — the same framed pipeline over a real SPSC channel
+//! * [`RunMode::Unmonitored`] — the baseline: the program alone on one
+//!   core;
+//! * [`RunMode::Lba`] — the proposed system: capture → compression →
+//!   framed log channel → dispatch → lifeguard on a second core, with
+//!   decoupled clocks, back-pressure, and syscall-stall containment;
+//! * [`RunMode::Live`] — the same framed pipeline over a real SPSC channel
 //!   between OS threads instead of the deterministic timing model: one
 //!   queue operation per frame, real wire bytes measured and reported;
-//! * [`run_live_parallel`] — the sharded live mode: load/store records
-//!   route to the shard owning their cache line, every shard is its own
-//!   compressed frame stream with its own predictor bank, and N consumer
-//!   threads decode and dispatch concurrently;
-//! * [`run_remote`] — the networked twin of the sharded live mode: each
-//!   shard's sealed frames cross a real Unix-domain socket (`lbas/1`
+//! * [`RunMode::LbaParallel`] / [`RunMode::LiveParallel`] — the sharded
+//!   modes, modeled and live: load/store records route to the shard
+//!   owning their cache line, every shard is its own compressed frame
+//!   stream with its own predictor bank, and N consumers decode and
+//!   dispatch concurrently;
+//! * [`RunMode::Remote`] — the networked twin of the sharded live mode:
+//!   each shard's sealed frames cross a real Unix-domain socket (`lbas/1`
 //!   framing, TCP-ready) to a worker owning a full decoder + dispatch +
 //!   lifeguard stack, with an explicit credit window carrying the
 //!   back-pressure and adaptive-degradation semantics across the wire;
 //!   per-shard wire streams and merged findings are byte-identical to
-//!   [`run_live_parallel`]'s;
-//! * [`run_taint_parallel`] / [`run_epoch_parallel`] — the epoch-parallel
-//!   mode for *order-sensitive* lifeguards that sharding cannot split:
-//!   the stream is cut into whole epochs at syscall boundaries, workers
-//!   compute symbolic transfer-function summaries in parallel, and a
-//!   merge core stitches them in order — findings byte-identical to the
-//!   sequential run ([`run_live_taint_parallel`] runs it on real
-//!   threads);
-//! * [`run_dbi`] — the comparison point: the lifeguard inlined via dynamic
-//!   binary instrumentation on the application core;
-//! * [`run_replay`] — offline replay: any of the modes above records its
-//!   sealed wire frames to a segmented on-disk stream
+//!   [`RunMode::LiveParallel`]'s;
+//! * [`RunMode::EpochParallel`] / [`RunMode::LiveEpochParallel`] — the
+//!   epoch-parallel modes for *order-sensitive* lifeguards that sharding
+//!   cannot split: the stream is cut into whole epochs at syscall
+//!   boundaries, workers compute symbolic transfer-function summaries in
+//!   parallel, and a merge core stitches them in order — findings
+//!   byte-identical to the sequential run (the modeled mode's speedup is
+//!   modeled-only; see [`RunMode::EpochParallel`]);
+//! * [`RunMode::Dbi`] — the comparison point: the lifeguard inlined via
+//!   dynamic binary instrumentation on the application core;
+//! * [`RunMode::Replay`] — offline replay: any of the modes above records
+//!   its sealed wire frames to a segmented on-disk stream
 //!   ([`LogConfig::record_to`]), and replay re-decodes the recording
 //!   through any lifeguard — findings and wire-bit accounting
 //!   byte-identical to the original run, no re-simulation
-//!   ([`run_replay_epoch`] replays an epoch recording through the
+//!   ([`RunMode::ReplayEpoch`] replays an epoch recording through the
 //!   summarize-then-stitch pipeline, epochs rebuilt from the frame
-//!   marks; [`run_replay_with`] in [`ReplayMode::SalvagePrefix`]
-//!   additionally survives a torn tail segment, replaying the
-//!   checksummed prefix and reporting exactly what was lost).
+//!   marks; [`ReplayMode::SalvagePrefix`] additionally survives a torn
+//!   tail segment, replaying the checksummed prefix and reporting exactly
+//!   what was lost).
+//!
+//! A registry row ([`LifeguardKind`] or a [`MonitorSpec`]) lets every
+//! consumer build its own lifeguard; the single-lifeguard modes
+//! ([`RunMode::Lba`], [`RunMode::Live`], [`RunMode::Dbi`]) also take a
+//! lent `&mut` instance ([`MonitorChoice::Lent`]), whose state the caller
+//! reads after the run.
 //!
 //! Every one of these modes is the *same* producer: a
 //! [`Producer`] stage chain (capture filter →
@@ -180,9 +188,9 @@
 //! of this deterministically in `tests/degradation.rs`.
 //!
 //! The [`experiment`] module regenerates every table and figure in the paper
-//! (`cargo run --release -p lba-bench --bin figures`), and the [`parallel`]
-//! module models the §3 future-work extension of sharding one log across
-//! several lifeguard cores ([`run_live_parallel`] runs it for real).
+//! (`cargo run --release -p lba-bench --bin figures`), including the §3
+//! future-work extension of sharding one log across several lifeguard
+//! cores ([`RunMode::LbaParallel`]).
 //!
 //! ## Quickstart
 //!
@@ -214,14 +222,35 @@
 //! assert!(mon.slowdown_vs(base) > 1.0);
 //! # Ok::<(), lba::LbaError>(())
 //! ```
+//!
+//! ## One way to run a mode
+//!
+//! Each mode's runner is private to `lba-core`; [`Run`] is the only
+//! entry point, so none of the old per-mode paths resolves:
+//!
+//! ```compile_fail,E0432
+//! use lba::run_lba;
+//! ```
+//!
+//! ```compile_fail,E0432
+//! use lba::run_taint_parallel;
+//! ```
+//!
+//! ```compile_fail,E0432
+//! use lba::parallel::run_lba_parallel;
+//! ```
+//!
+//! ```compile_fail,E0432
+//! use lba::replay::run_replay_with;
+//! ```
 
 #![forbid(unsafe_code)]
 
 pub use lba_core::{
-    epoch_parallel, experiment, live_parallel, parallel, pipeline, remote, replay, report, runner,
-    table, CaptureFilter, CaptureStats, ChannelStats, IdempotencyClass, LifeguardKind, LogConfig,
-    LogStats, PipelineReport, RecordConfig, ReplayError, ReplayReport, ReplayStreamStats, RunError,
-    RunReport, StallBreakdown, SystemConfig, WindowSpec,
+    experiment, pipeline, report, table, CaptureFilter, CaptureStats, ChannelStats,
+    IdempotencyClass, LifeguardKind, LogConfig, LogStats, PipelineReport, RecordConfig,
+    ReplayError, ReplayReport, ReplayStreamStats, RunError, RunReport, StallBreakdown,
+    SystemConfig, WindowSpec,
 };
 // The unified entry point: one builder for every execution model, the
 // outcome type holding one of the three report shapes, the
@@ -229,15 +258,9 @@ pub use lba_core::{
 // error hierarchy every layer's failures convert into.
 pub use lba_core::{record_then_run, LbaError, MonitorChoice, Run, RunMode, RunOutcome};
 // The staged capture pipeline and the run-mode/monitor registry: every
-// `run_*` entry point above is a thin composition of `Producer` over a
-// `ConsumerTopology`, and MONITORS/RUN_MODES are the single source the
-// benchmarks, experiments and equivalence suites derive their
-// enumerations from.
-pub use lba_core::{
-    run_dbi, run_epoch_parallel, run_lba, run_live, run_live_epoch_parallel, run_live_parallel,
-    run_live_taint_parallel, run_remote, run_replay, run_replay_epoch, run_replay_with,
-    run_taint_parallel, run_unmonitored,
-};
+// `RunMode` is a composition of `Producer` over a `ConsumerTopology`, and
+// MONITORS/RUN_MODES are the single source the benchmarks, experiments
+// and equivalence suites derive their enumerations from.
 pub use lba_core::{
     ConsumerTopology, EpochRouted, Execution, MonitorSpec, Producer, ProducerFinish, ProducerLink,
     ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS,
@@ -258,15 +281,14 @@ mod facade_smoke {
     //! Satellite smoke test: the facade re-exports resolve and a minimal
     //! monitored run completes end to end.
 
+    use crate::LifeguardKind::{AddrCheck, TaintCheck};
+    use crate::{Run, RunMode, RunOutcome};
+
     #[test]
     fn facade_paths_resolve_and_pipeline_runs() {
         // Name every advertised re-export so a regression in the facade is
         // a compile error here, not just in downstream tests.
-        let _run_lba: fn(
-            &lba_isa::Program,
-            &mut dyn lba_lifeguard::Lifeguard,
-            &crate::SystemConfig,
-        ) -> Result<crate::RunReport, crate::RunError> = crate::run_lba;
+        let _new: fn(&'static lba_isa::Program) -> Run<'static> = Run::new;
 
         // The pipeline registry survives under its advertised names: four
         // monitors, nine run modes, and the topology/producer types.
@@ -283,49 +305,39 @@ mod facade_smoke {
 
         let config = crate::SystemConfig::default();
         let program = lba_workloads::bugs::memory_bugs();
+        let run = |mode, kind: crate::LifeguardKind| {
+            Run::new(&program)
+                .mode(mode)
+                .monitor(kind)
+                .config(&config)
+                .run()
+                .unwrap_or_else(|e| panic!("{mode} run completes: {e}"))
+        };
 
-        let sharded = crate::parallel::run_lba_parallel(
-            &program,
-            || crate::LifeguardKind::AddrCheck.make_lba(),
-            2,
-            &config,
-        )
-        .expect("parallel run completes");
+        let sharded = run(RunMode::LbaParallel, AddrCheck);
         assert_eq!(sharded.channels.len(), 2);
 
-        let epoch = crate::run_taint_parallel(&program, 2, &config).expect("epoch run completes");
+        let epoch = run(RunMode::EpochParallel, TaintCheck);
         assert_eq!(epoch.channels.len(), 2);
-        let live_epoch: crate::PipelineReport =
-            crate::run_live_taint_parallel(&program, 2, &config).expect("live epoch completes");
+        let live_epoch = run(RunMode::LiveEpochParallel, TaintCheck);
         assert_eq!(live_epoch.findings, epoch.findings);
 
-        let live_sharded = crate::run_live_parallel(
-            &program,
-            || crate::LifeguardKind::AddrCheck.make_lba(),
-            2,
-            &config,
-        )
-        .expect("live parallel run completes");
+        let live_sharded = run(RunMode::LiveParallel, AddrCheck);
         assert_eq!(live_sharded.findings, sharded.findings);
 
-        // The socket transport behind the unified builder: same shards,
-        // same findings, real wire.
-        let remote = crate::Run::new(&program)
-            .mode(crate::RunMode::Remote)
-            .monitor(crate::LifeguardKind::AddrCheck)
-            .workers(2)
-            .config(&config)
-            .run()
-            .expect("remote run completes");
+        // The socket transport: same shards, same findings, real wire.
+        let remote = run(RunMode::Remote, AddrCheck);
         assert_eq!(remote.findings, live_sharded.findings);
-        assert!(matches!(remote, crate::RunOutcome::Live(_)));
-        assert_eq!(remote.mode, crate::RunMode::Remote);
+        assert!(matches!(remote, RunOutcome::Live(_)));
+        assert_eq!(remote.mode, RunMode::Remote);
 
-        let baseline = crate::run_unmonitored(&program, &config).expect("baseline runs");
-        let kind = crate::LifeguardKind::AddrCheck;
-        let mut lifeguard = kind.make_lba();
-        let monitored = crate::run_lba(&program, lifeguard.as_mut(), &config).expect("lba runs");
-
+        let (RunOutcome::Run(baseline), RunOutcome::Run(monitored)) = (
+            run(RunMode::Unmonitored, AddrCheck),
+            run(RunMode::Lba, AddrCheck),
+        ) else {
+            panic!("Unmonitored and Lba report modeled clocks");
+        };
+        let _: &crate::RunReport = &monitored;
         assert!(
             !monitored.findings.is_empty(),
             "planted bugs must be caught"
@@ -341,11 +353,19 @@ mod facade_smoke {
         std::fs::remove_dir_all(&dir).ok();
         let mut recording = config.clone();
         recording.log.record_to = Some(crate::RecordConfig::new(&dir));
-        let mut lifeguard = kind.make_lba();
-        let recorded =
-            crate::run_lba(&program, lifeguard.as_mut(), &recording).expect("recorded run");
-        let replay: crate::ReplayReport =
-            crate::run_replay(&dir, || kind.make_lba(), &config).expect("replay runs");
+        let recorded = Run::new(&program)
+            .config(&recording)
+            .run()
+            .expect("recorded run");
+        let replayed = Run::new(&program)
+            .mode(RunMode::Replay)
+            .replay_from(&dir)
+            .run()
+            .expect("replay runs");
+        let RunOutcome::Replay(replay) = replayed else {
+            panic!("replay reports a ReplayReport");
+        };
+        let _: &crate::ReplayReport = &replay;
         assert_eq!(replay.findings, recorded.findings);
         assert_eq!(replay.log.wire_bits, recorded.log.wire_bits);
         std::fs::remove_dir_all(&dir).ok();

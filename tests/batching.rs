@@ -6,19 +6,38 @@
 
 use proptest::prelude::*;
 
-use lba::parallel::run_lba_parallel;
-use lba::{run_lba, run_live, LogStats, SystemConfig};
+use lba::{
+    LifeguardKind, LogStats, MonitorSpec, Run, RunMode, RunOutcome, RunReport, SystemConfig,
+    MONITORS,
+};
 use lba_isa::Program;
-use lba_lifeguard::Lifeguard;
-use lba_lifeguards::{AddrCheck, LockSet, MemProfile, TaintCheck};
 use lba_workloads::{bugs, Benchmark};
 
-fn make_lifeguard(idx: usize) -> Box<dyn Lifeguard> {
-    match idx {
-        0 => Box::new(AddrCheck::new()),
-        1 => Box::new(TaintCheck::new()),
-        2 => Box::new(LockSet::new()),
-        _ => Box::new(MemProfile::new()),
+/// Every registry row opted into sharding. Granularity equivalence is a
+/// determinism property, so it holds even for TaintCheck and MemProfile,
+/// whose registry rows keep them out of the sharded modes because their
+/// sharded findings diverge from the sequential run's.
+static SHARDED: [MonitorSpec; 4] = [sharded(0), sharded(1), sharded(2), sharded(3)];
+
+const fn sharded(idx: usize) -> MonitorSpec {
+    MonitorSpec {
+        shardable: true,
+        ..MONITORS[idx]
+    }
+}
+
+/// A modeled run of `monitor` in `mode` over `shards` shards.
+fn modeled(
+    program: &Program,
+    mode: RunMode,
+    monitor: &'static MonitorSpec,
+    shards: usize,
+    config: &SystemConfig,
+) -> RunReport {
+    let request = Run::new(program).mode(mode).monitor(monitor);
+    match request.workers(shards).config(config).run() {
+        Ok(RunOutcome::Run(report)) => report,
+        other => panic!("{mode} reports modeled clocks: {other:?}"),
     }
 }
 
@@ -56,10 +75,9 @@ fn assert_paths_equivalent(
     let mut per_record_cfg = batched_cfg.clone();
     per_record_cfg.log.batch_dispatch = false;
 
-    let mut lg = make_lifeguard(lifeguard_idx);
-    let batched = run_lba(program, lg.as_mut(), &batched_cfg).expect("batched run");
-    let mut lg = make_lifeguard(lifeguard_idx);
-    let per_record = run_lba(program, lg.as_mut(), &per_record_cfg).expect("per-record run");
+    let monitor = &MONITORS[lifeguard_idx];
+    let batched = modeled(program, RunMode::Lba, monitor, 1, &batched_cfg);
+    let per_record = modeled(program, RunMode::Lba, monitor, 1, &per_record_cfg);
 
     let what = format!(
         "{} / lifeguard {lifeguard_idx} / frame {records_per_frame} / buffer {buffer_bytes}",
@@ -88,7 +106,7 @@ fn assert_paths_equivalent(
 
 /// The sharded counterpart of [`assert_paths_equivalent`]: frame-granular
 /// and per-record consumption must be observationally identical through
-/// `run_lba_parallel` too — per-shard cycles, merged findings, and
+/// `RunMode::LbaParallel` too — per-shard cycles, merged findings, and
 /// per-shard `ChannelStats` (the modeled channel is deterministic, so the
 /// high-water mark must match as well).
 fn assert_parallel_paths_equivalent(
@@ -103,10 +121,9 @@ fn assert_parallel_paths_equivalent(
     let mut per_record_cfg = batched_cfg.clone();
     per_record_cfg.log.batch_dispatch = false;
 
-    let make = || make_lifeguard(lifeguard_idx);
-    let batched = run_lba_parallel(program, make, shards, &batched_cfg).expect("batched run");
-    let per_record =
-        run_lba_parallel(program, make, shards, &per_record_cfg).expect("per-record run");
+    let (mode, monitor) = (RunMode::LbaParallel, &SHARDED[lifeguard_idx]);
+    let batched = modeled(program, mode, monitor, shards, &batched_cfg);
+    let per_record = modeled(program, mode, monitor, shards, &per_record_cfg);
 
     let what = format!(
         "{} / lifeguard {lifeguard_idx} / {shards} shards / frame {records_per_frame}",
@@ -184,10 +201,15 @@ fn live_mode_agrees_across_consumption_granularities() {
     let mut per_record_cfg = batched_cfg.clone();
     per_record_cfg.log.batch_dispatch = false;
 
-    let mut lg = AddrCheck::new();
-    let batched = run_live(&program, &mut lg, &batched_cfg).expect("live batched");
-    let mut lg = AddrCheck::new();
-    let per_record = run_live(&program, &mut lg, &per_record_cfg).expect("live per-record");
+    let live = |config| {
+        let request = Run::new(&program).mode(RunMode::Live);
+        request
+            .monitor(LifeguardKind::AddrCheck)
+            .config(config)
+            .run()
+    };
+    let batched = live(&batched_cfg).expect("live batched");
+    let per_record = live(&per_record_cfg).expect("live per-record");
     assert_eq!(batched.findings, per_record.findings);
     assert_eq!(wire_view(&batched.log), wire_view(&per_record.log));
 }
@@ -200,7 +222,6 @@ fn zero_copy_channel_survives_verified_round_trip() {
     let program = make_program(4);
     let mut config = SystemConfig::default();
     config.log.verify_compression = true;
-    let mut lg = AddrCheck::new();
-    let report = run_lba(&program, &mut lg, &config).expect("verified run");
+    let report = modeled(&program, RunMode::Lba, &MONITORS[0], 1, &config); // AddrCheck
     assert!(report.log.records > 0);
 }

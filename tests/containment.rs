@@ -3,16 +3,24 @@
 //! remaining log entries that executed prior to the syscall invocation",
 //! so errors cannot propagate beyond the process container.
 
-use lba::{run_lba, LifeguardKind, SystemConfig};
+use lba::{LifeguardKind, Run, RunOutcome, RunReport, SystemConfig};
+use lba_isa::Program;
 use lba_lifeguard::FindingKind;
 use lba_workloads::{bugs, Benchmark};
+
+/// The modeled LBA run of `kind` over `program`, clocks and all.
+fn lba(program: &Program, kind: LifeguardKind, config: &SystemConfig) -> RunReport {
+    match Run::new(program).monitor(kind).config(config).run() {
+        Ok(RunOutcome::Run(report)) => report,
+        other => panic!("an Lba run reports modeled clocks: {other:?}"),
+    }
+}
 
 #[test]
 fn every_syscall_is_stalled_when_containment_is_on() {
     let program = Benchmark::Gs.build();
     let config = SystemConfig::default();
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
-    let report = run_lba(&program, lg.as_mut(), &config).unwrap();
+    let report = lba(&program, LifeguardKind::AddrCheck, &config);
     assert_eq!(
         report.stalls.syscalls,
         report.trace.count(lba_record::EventKind::Syscall),
@@ -25,15 +33,15 @@ fn every_syscall_is_stalled_when_containment_is_on() {
 fn disabling_containment_removes_the_stalls_but_not_detection() {
     let program = bugs::tainted_syscall();
 
-    let on = {
-        let mut lg = LifeguardKind::TaintCheck.make_lba();
-        run_lba(&program, lg.as_mut(), &SystemConfig::default()).unwrap()
-    };
+    let on = lba(
+        &program,
+        LifeguardKind::TaintCheck,
+        &SystemConfig::default(),
+    );
     let off = {
         let mut config = SystemConfig::default();
         config.log.syscall_stall = false;
-        let mut lg = LifeguardKind::TaintCheck.make_lba();
-        run_lba(&program, lg.as_mut(), &config).unwrap()
+        lba(&program, LifeguardKind::TaintCheck, &config)
     };
 
     assert!(on.stalls.syscalls > 0);
@@ -55,8 +63,7 @@ fn containment_makes_the_application_wait_for_the_lagging_lifeguard() {
     // syscall arrives; with containment on, the app clock must absorb it.
     let program = bugs::tainted_syscall();
     let config = SystemConfig::default();
-    let mut lg = LifeguardKind::TaintCheck.make_lba();
-    let report = run_lba(&program, lg.as_mut(), &config).unwrap();
+    let report = lba(&program, LifeguardKind::TaintCheck, &config);
     assert!(
         report.stalls.syscall_stall_cycles > 1000,
         "2000 padding instructions of lag must be drained at the syscall; got {}",
@@ -77,8 +84,7 @@ fn containment_bounds_error_propagation_in_the_timeline() {
     // the post-syscall tail).
     let program = bugs::tainted_syscall();
     let config = SystemConfig::default();
-    let mut lg = LifeguardKind::TaintCheck.make_lba();
-    let report = run_lba(&program, lg.as_mut(), &config).unwrap();
+    let report = lba(&program, LifeguardKind::TaintCheck, &config);
     // tainted_syscall ends almost immediately after its syscall, so the
     // lifeguard tail is tiny relative to the stalled app clock.
     let tail = report.total_cycles - report.app_cycles;

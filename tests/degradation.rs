@@ -11,12 +11,31 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use lba::{
-    parallel::run_lba_parallel, run_lba, run_live, run_live_parallel, AdaptiveConfig,
-    DegradationStats, FaultProfile, RunError, SystemConfig, MAX_RECORDED_INTERVALS,
+    AdaptiveConfig, DegradationStats, FaultProfile, LbaError, LifeguardKind, MonitorChoice,
+    MonitorSpec, Run, RunError, RunMode, RunOutcome, SystemConfig, MAX_RECORDED_INTERVALS,
+    MONITORS,
 };
+use lba_isa::Program;
 use lba_lifeguard::Lifeguard;
-use lba_lifeguards::{AddrCheck, LockSet, MemProfile, TaintCheck};
+use lba_lifeguards::AddrCheck;
 use lba_workloads::{bugs, Benchmark};
+
+/// `monitor` over `program` in `mode`, with 3 shards for the sharded
+/// modes.
+fn run<'a>(
+    program: &'a Program,
+    mode: RunMode,
+    monitor: impl Into<MonitorChoice<'a>>,
+    config: &'a SystemConfig,
+) -> Result<RunOutcome, LbaError> {
+    let request = Run::new(program).mode(mode).monitor(monitor);
+    request.workers(3).config(config).run()
+}
+
+/// The single-lifeguard AddrCheck run the suite compares against.
+fn addrcheck(program: &Program, mode: RunMode, config: &SystemConfig) -> RunOutcome {
+    run(program, mode, LifeguardKind::AddrCheck, config).expect("addrcheck run")
+}
 
 /// Thresholds low enough that the modeled slow-drain profile engages on
 /// the small bug workloads too (the default 700‰ needs a larger queue
@@ -75,15 +94,16 @@ fn quiet_fault_injection_is_transparent() {
     // default profile it must be pure delegation — same findings, same
     // wire stream, same modeled time.
     let program = bugs::memory_bugs();
-    let mut lg = AddrCheck::new();
-    let clean = run_lba(&program, &mut lg, &SystemConfig::default()).unwrap();
+    let clean = addrcheck(&program, RunMode::Lba, &SystemConfig::default());
     let mut config = SystemConfig::default();
     config.log.fault = Some(FaultProfile::default());
     assert!(config.log.fault.unwrap().is_quiet());
-    let mut lg = AddrCheck::new();
-    let quiet = run_lba(&program, &mut lg, &config).unwrap();
+    let quiet = addrcheck(&program, RunMode::Lba, &config);
     assert_eq!(quiet.findings, clean.findings);
     assert_eq!(quiet.log.wire_bits, clean.log.wire_bits);
+    let (RunOutcome::Run(quiet), RunOutcome::Run(clean)) = (&quiet, &clean) else {
+        panic!("Lba reports modeled clocks");
+    };
     assert_eq!(quiet.app_cycles, clean.app_cycles);
     assert!(quiet.degradation.is_empty());
 }
@@ -94,12 +114,10 @@ fn controller_off_runs_lose_nothing_under_injected_faults() {
     // consumer stalls may reshape timing but never content — the drain
     // loops retry refused pops until the channel is empty.
     let program = bugs::memory_bugs();
-    let mut lg = AddrCheck::new();
-    let clean = run_lba(&program, &mut lg, &SystemConfig::default()).unwrap();
+    let clean = addrcheck(&program, RunMode::Lba, &SystemConfig::default());
     let mut config = SystemConfig::default();
     config.log.fault = Some(FaultProfile::slow_drain(7));
-    let mut lg = AddrCheck::new();
-    let faulted = run_lba(&program, &mut lg, &config).unwrap();
+    let faulted = addrcheck(&program, RunMode::Lba, &config);
     assert_eq!(faulted.findings, clean.findings);
     assert_eq!(faulted.log.records, clean.log.records);
     assert_eq!(faulted.log.wire_bits, clean.log.wire_bits);
@@ -113,11 +131,9 @@ fn controller_engages_under_slow_drain_and_findings_are_identical() {
     // engages and removes records, and the findings still match the
     // undegraded run byte for byte.
     let program = Benchmark::Gzip.build();
-    let mut lg = AddrCheck::new();
-    let clean = run_lba(&program, &mut lg, &SystemConfig::default()).unwrap();
+    let clean = addrcheck(&program, RunMode::Lba, &SystemConfig::default());
     let config = degraded_config(42);
-    let mut lg = AddrCheck::new();
-    let degraded = run_lba(&program, &mut lg, &config).unwrap();
+    let degraded = addrcheck(&program, RunMode::Lba, &config);
     assert!(
         !degraded.degradation.is_empty(),
         "slow drain must engage the controller: {:?}",
@@ -148,8 +164,7 @@ fn memprofile_sampling_is_fully_accounted() {
     // profile-irrelevant kind, so it exercises both ledgers at once.
     let program = Benchmark::Gzip.build();
     let config = degraded_config(9);
-    let mut lg = MemProfile::new();
-    let degraded = run_lba(&program, &mut lg, &config).unwrap();
+    let degraded = run(&program, RunMode::Lba, &MONITORS[3], &config).unwrap(); // MemProfile
     assert!(!degraded.degradation.is_empty());
     assert!(degraded.degradation.sampled_out > 0, "sampling must bite");
     assert!(degraded.degradation.kind_dropped > 0, "kind-drop must bite");
@@ -163,11 +178,9 @@ fn taintcheck_is_provably_untouched() {
     // findings, same wire stream, empty stats — under the same injected
     // fault profile and adaptive config that degrade AddrCheck.
     let program = bugs::exploit();
-    let mut lg = TaintCheck::new();
-    let clean = run_lba(&program, &mut lg, &SystemConfig::default()).unwrap();
-    let config = degraded_config(42);
-    let mut lg = TaintCheck::new();
-    let faulted = run_lba(&program, &mut lg, &config).unwrap();
+    let kind = LifeguardKind::TaintCheck;
+    let clean = run(&program, RunMode::Lba, kind, &SystemConfig::default()).unwrap();
+    let faulted = run(&program, RunMode::Lba, kind, &degraded_config(42)).unwrap();
     assert!(faulted.degradation.is_empty());
     assert_eq!(faulted.findings, clean.findings);
     assert_eq!(faulted.log.records, clean.log.records);
@@ -180,16 +193,14 @@ fn live_mode_engages_and_findings_are_identical() {
     // queue full (depth 1 under a sub-frame buffer budget), so the
     // occupancy signal pins to the ceiling and the controller engages.
     let program = Benchmark::Gzip.build();
-    let mut lg = AddrCheck::new();
-    let clean = run_live(&program, &mut lg, &SystemConfig::default()).unwrap();
+    let clean = addrcheck(&program, RunMode::Live, &SystemConfig::default());
     let mut config = degraded_config(42);
     config.log.buffer_bytes = 64;
     config.log.fault = Some(FaultProfile {
         drain_drag: 20_000,
         ..FaultProfile::default()
     });
-    let mut lg = AddrCheck::new();
-    let degraded = run_live(&program, &mut lg, &config).unwrap();
+    let degraded = addrcheck(&program, RunMode::Live, &config);
     assert!(
         !degraded.degradation.is_empty(),
         "a dragged consumer with a one-deep queue must engage: {:?}",
@@ -213,9 +224,11 @@ fn stalled_live_consumer_surfaces_as_channel_stalled() {
         drain_drag: 200_000_000,
         ..FaultProfile::default()
     });
-    let mut lg = AddrCheck::new();
-    let err = run_live(&program, &mut lg, &config).unwrap_err();
-    assert!(matches!(err, RunError::ChannelStalled), "got: {err:?}");
+    let err = run(&program, RunMode::Live, LifeguardKind::AddrCheck, &config).unwrap_err();
+    assert!(
+        matches!(err, LbaError::Run(RunError::ChannelStalled)),
+        "got: {err:?}"
+    );
     assert!(err.to_string().contains("stall"));
 }
 
@@ -224,28 +237,29 @@ fn live_runs_without_timeout_still_complete_under_drag() {
     // The pre-timeout contract is preserved: no configured timeout means
     // the producer waits out any drag, losslessly.
     let program = bugs::memory_bugs();
-    let mut lg = AddrCheck::new();
-    let clean = run_live(&program, &mut lg, &SystemConfig::default()).unwrap();
+    let clean = addrcheck(&program, RunMode::Live, &SystemConfig::default());
     let mut config = SystemConfig::default();
     config.log.buffer_bytes = 64;
     config.log.fault = Some(FaultProfile {
         drain_drag: 50_000,
         ..FaultProfile::default()
     });
-    let mut lg = AddrCheck::new();
-    let dragged = run_live(&program, &mut lg, &config).unwrap();
+    let dragged = addrcheck(&program, RunMode::Live, &config);
     assert_eq!(dragged.findings, clean.findings);
     assert_eq!(dragged.log.records, clean.log.records);
 }
 
-/// The degradation grid's lifeguard axis: the three sound policies.
-/// (TaintCheck is pinned separately — its guarantee is the *absence* of
-/// the controller.)
-fn make_kind(idx: usize) -> Box<dyn Lifeguard> {
-    match idx {
-        0 => Box::new(AddrCheck::new()),
-        1 => Box::new(LockSet::new()),
-        _ => Box::new(MemProfile::new()),
+/// The degradation grid's lifeguard axis: the three sound policies,
+/// AddrCheck, LockSet and MemProfile, each opted into sharding (the
+/// MemProfile row keeps it out of the sharded modes, but its degradation
+/// ledger must stay exact there too). TaintCheck is pinned separately —
+/// its guarantee is the *absence* of the controller.
+static SOUND: [MonitorSpec; 3] = [sharded(0), sharded(2), sharded(3)];
+
+const fn sharded(idx: usize) -> MonitorSpec {
+    MonitorSpec {
+        shardable: true,
+        ..MONITORS[idx]
     }
 }
 
@@ -270,40 +284,16 @@ proptest! {
         };
         let clean_config = SystemConfig::default();
         let degraded_config = degraded_config(seed);
-        let (clean_findings, degraded_findings, stats) = match mode_idx {
-            0 => {
-                let mut lg = make_kind(kind_idx);
-                let clean = run_lba(&program, lg.as_mut(), &clean_config).unwrap();
-                let mut lg = make_kind(kind_idx);
-                let degraded = run_lba(&program, lg.as_mut(), &degraded_config).unwrap();
-                (clean.pipeline.findings, degraded.pipeline.findings, degraded.pipeline.degradation)
-            }
-            1 => {
-                let mut lg = make_kind(kind_idx);
-                let clean = run_live(&program, lg.as_mut(), &clean_config).unwrap();
-                let mut lg = make_kind(kind_idx);
-                let degraded = run_live(&program, lg.as_mut(), &degraded_config).unwrap();
-                (clean.findings, degraded.findings, degraded.degradation)
-            }
-            2 => {
-                let clean =
-                    run_lba_parallel(&program, || make_kind(kind_idx), 3, &clean_config).unwrap();
-                let degraded =
-                    run_lba_parallel(&program, || make_kind(kind_idx), 3, &degraded_config)
-                        .unwrap();
-                (clean.pipeline.findings, degraded.pipeline.findings, degraded.pipeline.degradation)
-            }
-            _ => {
-                let clean =
-                    run_live_parallel(&program, || make_kind(kind_idx), 3, &clean_config).unwrap();
-                let degraded =
-                    run_live_parallel(&program, || make_kind(kind_idx), 3, &degraded_config)
-                        .unwrap();
-                (clean.findings, degraded.findings, degraded.degradation)
-            }
-        };
-        prop_assert_eq!(degraded_findings, clean_findings);
-        assert_stats_consistent(&stats);
+        let mode = [
+            RunMode::Lba,
+            RunMode::Live,
+            RunMode::LbaParallel,
+            RunMode::LiveParallel,
+        ][mode_idx];
+        let clean = run(&program, mode, &SOUND[kind_idx], &clean_config).unwrap();
+        let degraded = run(&program, mode, &SOUND[kind_idx], &degraded_config).unwrap();
+        prop_assert_eq!(&degraded.findings, &clean.findings);
+        assert_stats_consistent(&degraded.degradation);
     }
 }
 
@@ -377,12 +367,11 @@ fn lifeguard_dial_request_engages_and_is_ledgered() {
     let mut config = SystemConfig::default();
     config.log.adaptive = Some(AdaptiveConfig::default());
 
-    let mut clean = AddrCheck::new();
-    let baseline = run_lba(&program, &mut clean, &SystemConfig::default()).unwrap();
+    let baseline = addrcheck(&program, RunMode::Lba, &SystemConfig::default());
 
     let mut dialed = DialAddrCheck::new(1_000);
-    let report = run_lba(&program, &mut dialed, &config).unwrap();
-    let stats = &report.pipeline.degradation;
+    let report = run(&program, RunMode::Lba, &mut dialed, &config).unwrap();
+    let stats = &report.degradation;
     assert_eq!(
         stats.lifeguard_requests, 1,
         "exactly one dial request was made (take semantics): {stats:?}"
@@ -394,14 +383,13 @@ fn lifeguard_dial_request_engages_and_is_ledgered() {
     assert_stats_consistent(stats);
     // AddrCheck's policy promises degraded findings stay sound.
     assert_eq!(
-        report.pipeline.findings, baseline.pipeline.findings,
+        report.findings, baseline.findings,
         "a dial-driven degradation span must not change findings"
     );
 
     // The same run without the dial never engages: the ledger entries
     // above are attributable to the lifeguard's request alone.
-    let mut undialed = AddrCheck::new();
-    let quiet = run_lba(&program, &mut undialed, &config).unwrap();
-    assert_eq!(quiet.pipeline.degradation.lifeguard_requests, 0);
-    assert!(quiet.pipeline.degradation.is_empty());
+    let quiet = addrcheck(&program, RunMode::Lba, &config);
+    assert_eq!(quiet.degradation.lifeguard_requests, 0);
+    assert!(quiet.degradation.is_empty());
 }

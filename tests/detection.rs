@@ -2,13 +2,16 @@
 //! lifeguard under every execution model, and the clean benchmarks stay
 //! clean.
 
-use lba::parallel::run_lba_parallel;
-use lba::{run_dbi, run_lba, run_live, LifeguardKind, SystemConfig};
+use lba::{LifeguardKind, Run, RunMode, RunOutcome};
+use lba_isa::Program;
 use lba_lifeguard::FindingKind;
 use lba_workloads::{bugs, Benchmark};
 
-fn config() -> SystemConfig {
-    SystemConfig::default()
+/// `kind` over `program` in `mode` (4 shards for the sharded mode), at
+/// the default configuration.
+fn run(program: &Program, mode: RunMode, kind: LifeguardKind) -> RunOutcome {
+    let outcome = Run::new(program).mode(mode).monitor(kind).workers(4).run();
+    outcome.unwrap_or_else(|e| panic!("{mode}/{kind} on {}: {e}", program.name()))
 }
 
 #[test]
@@ -21,19 +24,10 @@ fn memory_bugs_caught_under_all_execution_models() {
         FindingKind::Leak,
     ];
 
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
-    let lba = run_lba(&program, lg.as_mut(), &config()).unwrap();
-    let mut lg = LifeguardKind::AddrCheck.make_dbi();
-    let dbi = run_dbi(&program, lg.as_mut(), &config()).unwrap();
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
-    let live = run_live(&program, lg.as_mut(), &config()).unwrap();
-    let par = run_lba_parallel(
-        &program,
-        || LifeguardKind::AddrCheck.make_lba(),
-        4,
-        &config(),
-    )
-    .unwrap();
+    let lba = run(&program, RunMode::Lba, LifeguardKind::AddrCheck);
+    let dbi = run(&program, RunMode::Dbi, LifeguardKind::AddrCheck);
+    let live = run(&program, RunMode::Live, LifeguardKind::AddrCheck);
+    let par = run(&program, RunMode::LbaParallel, LifeguardKind::AddrCheck);
 
     for kind in expected {
         assert!(
@@ -58,8 +52,7 @@ fn memory_bugs_caught_under_all_execution_models() {
 #[test]
 fn exploit_caught_and_attack_details_reported() {
     let program = bugs::exploit();
-    let mut lg = LifeguardKind::TaintCheck.make_lba();
-    let report = run_lba(&program, lg.as_mut(), &config()).unwrap();
+    let report = run(&program, RunMode::Lba, LifeguardKind::TaintCheck);
     let finding = report
         .findings_of(FindingKind::TaintedJump)
         .next()
@@ -73,8 +66,7 @@ fn exploit_caught_and_attack_details_reported() {
 #[test]
 fn tainted_syscall_argument_caught() {
     let program = bugs::tainted_syscall();
-    let mut lg = LifeguardKind::TaintCheck.make_lba();
-    let report = run_lba(&program, lg.as_mut(), &config()).unwrap();
+    let report = run(&program, RunMode::Lba, LifeguardKind::TaintCheck);
     assert!(report
         .findings_of(FindingKind::TaintedSyscallArg)
         .next()
@@ -84,12 +76,10 @@ fn tainted_syscall_argument_caught() {
 #[test]
 fn data_race_caught_in_lba_and_dbi() {
     let program = bugs::data_race();
-    let mut lg = LifeguardKind::LockSet.make_lba();
-    let lba = run_lba(&program, lg.as_mut(), &config()).unwrap();
+    let lba = run(&program, RunMode::Lba, LifeguardKind::LockSet);
     assert!(lba.findings_of(FindingKind::DataRace).next().is_some());
 
-    let mut lg = LifeguardKind::LockSet.make_dbi();
-    let dbi = run_dbi(&program, lg.as_mut(), &config()).unwrap();
+    let dbi = run(&program, RunMode::Dbi, LifeguardKind::LockSet);
     assert!(dbi.findings.iter().any(|f| f.kind == FindingKind::DataRace));
 }
 
@@ -100,12 +90,10 @@ fn lba_and_dbi_produce_identical_findings_on_bug_programs() {
         (bugs::exploit(), LifeguardKind::TaintCheck),
         (bugs::data_race(), LifeguardKind::LockSet),
     ] {
-        let mut lg = kind.make_lba();
-        let lba = run_lba(&program, lg.as_mut(), &config()).unwrap();
+        let lba = run(&program, RunMode::Lba, kind);
         // DBI runs the *same* analysis; the LockSet DBI variant differs
         // only in cost model, not semantics.
-        let mut lg = kind.make_dbi();
-        let dbi = run_dbi(&program, lg.as_mut(), &config()).unwrap();
+        let dbi = run(&program, RunMode::Dbi, kind);
         assert_eq!(
             lba.findings,
             dbi.findings,
@@ -120,8 +108,7 @@ fn clean_benchmarks_stay_clean_everywhere() {
     for benchmark in [Benchmark::Bc, Benchmark::Gs, Benchmark::W3m] {
         let program = benchmark.build();
         for kind in [LifeguardKind::AddrCheck, LifeguardKind::TaintCheck] {
-            let mut lg = kind.make_lba();
-            let report = run_lba(&program, lg.as_mut(), &config()).unwrap();
+            let report = run(&program, RunMode::Lba, kind);
             assert!(
                 report.findings.is_empty(),
                 "{}/{}: {:?}",
@@ -133,8 +120,7 @@ fn clean_benchmarks_stay_clean_everywhere() {
     }
     for benchmark in Benchmark::MULTI_THREADED {
         let program = benchmark.build();
-        let mut lg = LifeguardKind::LockSet.make_lba();
-        let report = run_lba(&program, lg.as_mut(), &config()).unwrap();
+        let report = run(&program, RunMode::Lba, LifeguardKind::LockSet);
         assert!(
             report.findings.is_empty(),
             "{}: {:?}",

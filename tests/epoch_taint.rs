@@ -1,32 +1,40 @@
 //! Epoch-parallel TaintCheck acceptance: the summarize-then-stitch
 //! pipeline is *byte-identical* to the sequential lifeguard — same
-//! findings in the same order with the same messages, same final taint
-//! accounting — across programs, epoch sizes, worker counts, and the
+//! findings in the same order with the same messages, same record
+//! totals — across programs, epoch sizes, worker counts, and the
 //! modeled/live execution models; degenerate configurations (one epoch,
 //! one worker) collapse to the sequential behaviour; and a recorded
-//! epoch run replays to the same findings offline.
+//! epoch run replays to the same findings offline. The epoch master's
+//! final taint accounting is checked against the sequential lifeguard's
+//! in `lba-core`'s own tests, where the generic epoch runners are
+//! visible; here every mode runs through the public `Run` builder.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use lba::{
-    run_epoch_parallel, run_lba, run_live_epoch_parallel, run_replay_epoch, RecordConfig,
-    RunReport, SystemConfig,
-};
+use lba::{LifeguardKind, RecordConfig, Run, RunMode, RunOutcome, SystemConfig};
 use lba_cache::{MemSystem, MemSystemConfig};
+use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, EpochLifeguard, EpochSummarizer, HandlerCtx};
 use lba_lifeguards::TaintCheck;
 use lba_record::{EventKind, EventRecord};
 use lba_workloads::{bugs, Benchmark};
 
-/// The sequential ground truth: `run_lba` with a concrete TaintCheck.
-fn sequential(program: &lba_isa::Program, config: &SystemConfig) -> (RunReport, u64) {
-    let mut lg = TaintCheck::new();
-    let report = run_lba(program, &mut lg, config).expect("sequential run");
-    (report, lg.tainted_bytes_introduced())
+/// TaintCheck over `program` in `mode` with `workers` epoch workers.
+fn run(program: &Program, mode: RunMode, workers: usize, config: &SystemConfig) -> RunOutcome {
+    let request = Run::new(program)
+        .mode(mode)
+        .monitor(LifeguardKind::TaintCheck);
+    let outcome = request.workers(workers).config(config).run();
+    outcome.unwrap_or_else(|e| panic!("{mode} x{workers}: {e}"))
 }
 
-fn program_for(idx: usize) -> lba_isa::Program {
+/// The sequential ground truth: TaintCheck under `RunMode::Lba`.
+fn sequential(program: &Program, config: &SystemConfig) -> RunOutcome {
+    run(program, RunMode::Lba, 1, config)
+}
+
+fn program_for(idx: usize) -> Program {
     match idx {
         0 => bugs::exploit(),
         1 => bugs::tainted_syscall(),
@@ -39,10 +47,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The equivalence grid: programs × epoch sizes × worker counts ×
-    /// modeled/live. Findings (order, pc, kind, tid, message), the
-    /// master's final taint accounting, and the record totals all match
-    /// the sequential run — epochs partition the stream, so the workers
-    /// together carry exactly the sequential record stream.
+    /// modeled/live. Findings (order, pc, kind, tid, message) and the
+    /// record totals match the sequential run — epochs partition the
+    /// stream, so the workers together carry exactly the sequential
+    /// record stream.
     #[test]
     fn epoch_parallel_equals_sequential_across_the_grid(
         program_idx in 0usize..4,
@@ -53,25 +61,18 @@ proptest! {
         let program = program_for(program_idx);
         let mut config = SystemConfig::default();
         config.log.epoch_records = epoch_records;
-        let (seq, seq_tainted) = sequential(&program, &config);
+        let seq = sequential(&program, &config);
 
-        if live {
-            let mut master = TaintCheck::new();
-            let report = run_live_epoch_parallel(&program, &mut master, workers, &config)
-                .expect("live epoch run");
-            prop_assert_eq!(&report.findings, &seq.findings);
-            prop_assert_eq!(master.tainted_bytes_introduced(), seq_tainted);
-            prop_assert_eq!(report.log.records, seq.log.records);
-            prop_assert_eq!(report.channels.len(), workers);
-        } else {
-            let mut master = TaintCheck::new();
-            let report = run_epoch_parallel(&program, &mut master, workers, &config)
-                .expect("modeled epoch run");
-            prop_assert_eq!(&report.findings, &seq.findings);
-            prop_assert_eq!(master.tainted_bytes_introduced(), seq_tainted);
-            prop_assert_eq!(report.log.records, seq.log.records);
-            prop_assert_eq!(report.log.captured, seq.log.records);
-            prop_assert_eq!(report.lifeguard_cycles.len(), workers);
+        let mode = if live { RunMode::LiveEpochParallel } else { RunMode::EpochParallel };
+        let report = run(&program, mode, workers, &config);
+        prop_assert_eq!(&report.findings, &seq.findings);
+        prop_assert_eq!(report.log.records, seq.log.records);
+        match &report {
+            RunOutcome::Run(modeled) => {
+                prop_assert_eq!(modeled.log.captured, seq.log.records);
+                prop_assert_eq!(modeled.lifeguard_cycles.len(), workers);
+            }
+            _ => prop_assert_eq!(report.channels.len(), workers),
         }
     }
 }
@@ -84,15 +85,13 @@ fn degenerate_single_epoch_single_worker_still_matches() {
     let mut config = SystemConfig::default();
     config.log.epoch_records = usize::MAX >> 1;
     for program in [bugs::exploit(), bugs::tainted_syscall()] {
-        let (seq, seq_tainted) = sequential(&program, &config);
-        let mut master = TaintCheck::new();
-        let report = run_epoch_parallel(&program, &mut master, 1, &config).expect("epoch run");
+        let seq = sequential(&program, &config);
+        let report = run(&program, RunMode::EpochParallel, 1, &config);
         // Syscalls still close epochs (the containment boundary), so the
         // count is the syscall count, not 1 — but with a single worker the
         // stitch order is trivially sequential either way.
         assert!(report.epochs >= 1);
         assert_eq!(report.findings, seq.findings, "{}", report.program);
-        assert_eq!(master.tainted_bytes_introduced(), seq_tainted);
     }
 }
 
@@ -103,12 +102,10 @@ fn single_record_epochs_are_the_other_degenerate_end() {
     let mut config = SystemConfig::default();
     config.log.epoch_records = 1;
     let program = bugs::exploit();
-    let (seq, seq_tainted) = sequential(&program, &config);
-    let mut master = TaintCheck::new();
-    let report = run_epoch_parallel(&program, &mut master, 3, &config).expect("epoch run");
+    let seq = sequential(&program, &config);
+    let report = run(&program, RunMode::EpochParallel, 3, &config);
     assert_eq!(report.epochs, seq.log.records, "one epoch per record");
     assert_eq!(report.findings, seq.findings);
-    assert_eq!(master.tainted_bytes_introduced(), seq_tainted);
 }
 
 #[test]
@@ -118,18 +115,11 @@ fn modeled_and_live_epoch_modes_agree_with_each_other() {
     let program = Benchmark::Gzip.build();
     let mut config = SystemConfig::default();
     config.log.epoch_records = 128;
-    let mut modeled_master = TaintCheck::new();
-    let modeled =
-        run_epoch_parallel(&program, &mut modeled_master, 3, &config).expect("modeled run");
-    let mut live_master = TaintCheck::new();
-    let live = run_live_epoch_parallel(&program, &mut live_master, 3, &config).expect("live run");
+    let modeled = run(&program, RunMode::EpochParallel, 3, &config);
+    let live = run(&program, RunMode::LiveEpochParallel, 3, &config);
     assert_eq!(modeled.findings, live.findings);
     assert_eq!(modeled.epochs, live.epochs);
     assert_eq!(modeled.log.records, live.log.records);
-    assert_eq!(
-        modeled_master.tainted_bytes_introduced(),
-        live_master.tainted_bytes_introduced()
-    );
 }
 
 #[test]
@@ -148,27 +138,31 @@ fn recorded_epoch_run_replays_byte_identical() {
         let mut config = SystemConfig::default();
         config.log.epoch_records = 16;
         config.log.record_to = Some(RecordConfig::new(&dir));
-        let (seq, seq_tainted) = sequential(&program, &config);
+        let seq = sequential(&program, &config);
 
-        let mut master = TaintCheck::new();
-        let (findings, workers) = if live {
-            let r = run_live_epoch_parallel(&program, &mut master, 2, &config).expect("live run");
-            (r.findings, r.channels.len())
+        let mode = if live {
+            RunMode::LiveEpochParallel
         } else {
-            let r = run_epoch_parallel(&program, &mut master, 2, &config).expect("modeled run");
-            (r.pipeline.findings, r.pipeline.channels.len())
+            RunMode::EpochParallel
         };
-        assert_eq!(findings, seq.findings);
+        let recorded = run(&program, mode, 2, &config);
+        assert_eq!(recorded.findings, seq.findings);
 
-        let mut replay_master = TaintCheck::new();
-        let replay = run_replay_epoch(&dir, &mut replay_master, &config).expect("replay");
+        let request = Run::new(&program).mode(RunMode::ReplayEpoch);
+        let replayed = request.monitor(LifeguardKind::TaintCheck).config(&config);
+        let RunOutcome::Replay(replay) = replayed.replay_from(&dir).run().expect("replay") else {
+            panic!("a replay reports a ReplayReport");
+        };
         assert_eq!(replay.findings, seq.findings, "live={live}");
-        assert_eq!(replay.streams.len(), workers, "one stream per worker");
+        assert_eq!(
+            replay.streams.len(),
+            recorded.channels.len(),
+            "one stream per worker"
+        );
         assert_eq!(
             replay.streams.iter().map(|s| s.records).sum::<u64>(),
             seq.log.records
         );
-        assert_eq!(replay_master.tainted_bytes_introduced(), seq_tainted);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -339,14 +333,11 @@ fn live_epochs_match_sequential_on_the_long_chain_programs() {
         for epoch_records in [7, 1024] {
             let mut config = SystemConfig::default();
             config.log.epoch_records = epoch_records;
-            let (seq, seq_tainted) = sequential(&program, &config);
+            let seq = sequential(&program, &config);
             for workers in [1, 2] {
-                let mut master = TaintCheck::new();
-                let report = run_live_epoch_parallel(&program, &mut master, workers, &config)
-                    .expect("live epoch run");
+                let report = run(&program, RunMode::LiveEpochParallel, workers, &config);
                 let at = format!("{} epoch {epoch_records} workers {workers}", program.name());
                 assert_eq!(report.findings, seq.findings, "{at}");
-                assert_eq!(master.tainted_bytes_introduced(), seq_tainted, "{at}");
             }
         }
     }

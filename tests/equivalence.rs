@@ -4,26 +4,39 @@
 
 use proptest::prelude::*;
 
-use lba::parallel::run_lba_parallel;
-use lba::{record_then_run, run_dbi, run_lba, run_live, LifeguardKind, Run, RunMode, SystemConfig};
+use lba::LifeguardKind::{AddrCheck, LockSet, TaintCheck};
+use lba::{record_then_run, MonitorChoice, Run, RunMode, RunOutcome, SystemConfig, MONITORS};
+use lba_isa::Program;
 use lba_workloads::{bugs, Benchmark};
 
 fn config() -> SystemConfig {
     SystemConfig::default()
 }
 
+/// `monitor` over `program` in `mode`, with `workers` shards for the
+/// sharded modes.
+fn run<'a>(
+    program: &'a Program,
+    mode: RunMode,
+    monitor: impl Into<MonitorChoice<'a>>,
+    workers: usize,
+    config: &'a SystemConfig,
+) -> RunOutcome {
+    let request = Run::new(program).mode(mode).monitor(monitor);
+    let outcome = request.workers(workers).config(config).run();
+    outcome.unwrap_or_else(|e| panic!("{mode} on {}: {e}", program.name()))
+}
+
 #[test]
 fn live_pipeline_matches_cosim_on_every_bug_program() {
     for (program, kind) in [
-        (bugs::memory_bugs(), LifeguardKind::AddrCheck),
-        (bugs::exploit(), LifeguardKind::TaintCheck),
-        (bugs::tainted_syscall(), LifeguardKind::TaintCheck),
-        (bugs::data_race(), LifeguardKind::LockSet),
+        (bugs::memory_bugs(), AddrCheck),
+        (bugs::exploit(), TaintCheck),
+        (bugs::tainted_syscall(), TaintCheck),
+        (bugs::data_race(), LockSet),
     ] {
-        let mut lg = kind.make_lba();
-        let cosim = run_lba(&program, lg.as_mut(), &config()).unwrap();
-        let mut lg = kind.make_lba();
-        let live = run_live(&program, lg.as_mut(), &config()).unwrap();
+        let cosim = run(&program, RunMode::Lba, kind, 1, &config());
+        let live = run(&program, RunMode::Live, kind, 1, &config());
         assert_eq!(
             cosim.findings,
             live.findings,
@@ -38,32 +51,21 @@ fn live_pipeline_matches_cosim_for_all_four_lifeguards() {
     // One lifeguard of each kind, each on a program that exercises it;
     // modeled and live transports must agree finding-for-finding, and the
     // two channels must ship the identical framed byte stream.
-    type MakeLifeguard = fn() -> Box<dyn lba_lifeguard::Lifeguard>;
-    let cases: Vec<(_, MakeLifeguard)> = vec![
-        (bugs::memory_bugs(), || {
-            Box::new(lba_lifeguards::AddrCheck::new())
-        }),
-        (bugs::exploit(), || {
-            Box::new(lba_lifeguards::TaintCheck::new())
-        }),
-        (bugs::data_race(), || {
-            Box::new(lba_lifeguards::LockSet::new())
-        }),
-        (bugs::memory_bugs(), || {
-            Box::new(lba_lifeguards::MemProfile::new())
-        }),
+    let programs = [
+        bugs::memory_bugs(),
+        bugs::exploit(),
+        bugs::data_race(),
+        bugs::memory_bugs(),
     ];
-    for (program, make) in cases {
-        let mut lg = make();
-        let cosim = run_lba(&program, lg.as_mut(), &config()).unwrap();
-        let mut lg = make();
-        let live = run_live(&program, lg.as_mut(), &config()).unwrap();
+    for (program, monitor) in programs.iter().zip(&MONITORS) {
+        let cosim = run(program, RunMode::Lba, monitor, 1, &config());
+        let live = run(program, RunMode::Live, monitor, 1, &config());
         assert_eq!(
             cosim.findings,
             live.findings,
             "{}/{}: live/cosim mismatch",
             program.name(),
-            make().name()
+            monitor.name
         );
         assert_eq!(cosim.log.records, live.log.records, "{}", program.name());
         assert_eq!(cosim.log.frames, live.log.frames, "{}", program.name());
@@ -79,10 +81,8 @@ fn live_pipeline_matches_cosim_for_all_four_lifeguards() {
 #[test]
 fn live_pipeline_matches_cosim_on_a_real_benchmark() {
     let program = Benchmark::Tidy.build();
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
-    let cosim = run_lba(&program, lg.as_mut(), &config()).unwrap();
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
-    let live = run_live(&program, lg.as_mut(), &config()).unwrap();
+    let cosim = run(&program, RunMode::Lba, AddrCheck, 1, &config());
+    let live = run(&program, RunMode::Live, AddrCheck, 1, &config());
     assert_eq!(cosim.findings, live.findings);
     // The live channel carries real wire bytes: under a byte per
     // instruction with compression on, and identical to the model's.
@@ -94,20 +94,9 @@ fn live_pipeline_matches_cosim_on_a_real_benchmark() {
 fn parallel_shards_agree_with_single_lifeguard() {
     for shards in [2usize, 3, 4] {
         let program = bugs::memory_bugs();
-        let single = run_lba_parallel(
-            &program,
-            || LifeguardKind::AddrCheck.make_lba(),
-            1,
-            &config(),
-        )
-        .unwrap();
-        let sharded = run_lba_parallel(
-            &program,
-            || LifeguardKind::AddrCheck.make_lba(),
-            shards,
-            &config(),
-        )
-        .unwrap();
+        let kind = AddrCheck;
+        let single = run(&program, RunMode::LbaParallel, kind, 1, &config());
+        let sharded = run(&program, RunMode::LbaParallel, kind, shards, &config());
         // Same set of findings (order may differ across shard counts).
         assert_eq!(
             single.findings.len(),
@@ -131,24 +120,21 @@ fn event_stream_is_identical_across_modes() {
     // LBA and DBI must observe the same retired-instruction stream: same
     // instruction counts, same kind mix.
     let program = Benchmark::Gzip.build();
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
-    let lba = run_lba(&program, lg.as_mut(), &config()).unwrap();
-    let mut lg = LifeguardKind::AddrCheck.make_dbi();
-    let dbi = run_dbi(&program, lg.as_mut(), &config()).unwrap();
+    let lba = run(&program, RunMode::Lba, AddrCheck, 1, &config());
+    let dbi = run(&program, RunMode::Dbi, AddrCheck, 1, &config());
     assert_eq!(lba.trace, dbi.trace);
 }
 
 #[test]
 fn lba_runs_are_reproducible() {
     let program = Benchmark::Zchaff.build();
-    let run = || {
-        let mut lg = LifeguardKind::LockSet.make_lba();
-        let r = run_lba(&program, lg.as_mut(), &config()).unwrap();
-        (r.total_cycles, r.log.compressed_bits, r.findings.len())
+    let lockset = || match run(&program, RunMode::Lba, LockSet, 1, &config()) {
+        RunOutcome::Run(r) => (r.total_cycles, r.log.compressed_bits, r.findings.len()),
+        _ => unreachable!("Lba reports modeled clocks"),
     };
     assert_eq!(
-        run(),
-        run(),
+        lockset(),
+        lockset(),
         "deterministic co-simulation must reproduce exactly"
     );
 }
@@ -156,15 +142,11 @@ fn lba_runs_are_reproducible() {
 #[test]
 fn compression_does_not_change_what_the_lifeguard_sees() {
     let program = bugs::memory_bugs();
-    let compressed = {
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
-        run_lba(&program, lg.as_mut(), &config()).unwrap()
-    };
+    let compressed = run(&program, RunMode::Lba, AddrCheck, 1, &config());
     let raw = {
         let mut cfg = config();
         cfg.log.compression = false;
-        let mut lg = LifeguardKind::AddrCheck.make_lba();
-        run_lba(&program, lg.as_mut(), &cfg).unwrap()
+        run(&program, RunMode::Lba, AddrCheck, 1, &cfg)
     };
     assert_eq!(compressed.findings, raw.findings);
     assert_eq!(compressed.trace, raw.trace);
@@ -186,7 +168,7 @@ proptest! {
     /// The registry grid: every run mode in `lba::RUN_MODES`, over every
     /// lifeguard in `lba::MONITORS` its `supports` predicate admits, must
     /// honour its declared equivalence contract against the sequential
-    /// `run_lba` baseline — findings byte-identical (or dedup-set equal
+    /// `RunMode::Lba` baseline — findings byte-identical (or dedup-set equal
     /// for the merged fan-out modes), record counts exact where
     /// `exact_records` promises it, and wire bits exact where
     /// `exact_wire` does. A mode added to the registry is held to its

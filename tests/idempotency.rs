@@ -20,19 +20,46 @@
 
 use proptest::prelude::*;
 
-use lba::parallel::run_lba_parallel;
-use lba::{run_lba, run_live, run_live_parallel, LogStats, SystemConfig};
+use lba::{
+    LifeguardKind, LogStats, MonitorChoice, MonitorSpec, Run, RunMode, RunOutcome, RunReport,
+    SystemConfig, MONITORS,
+};
 use lba_isa::Program;
-use lba_lifeguard::Lifeguard;
-use lba_lifeguards::{AddrCheck, LockSet, MemProfile, MemoryProfile, TaintCheck};
+use lba_lifeguards::{MemProfile, MemoryProfile};
 use lba_workloads::{bugs, Benchmark};
 
-fn make_lifeguard(idx: usize) -> Box<dyn Lifeguard> {
-    match idx {
-        0 => Box::new(AddrCheck::new()),
-        1 => Box::new(TaintCheck::new()),
-        2 => Box::new(LockSet::new()),
-        _ => Box::new(MemProfile::new()),
+/// Every registry row opted into sharding: MemProfile's registry row
+/// keeps it out of the sharded modes (each shard profiles only its own
+/// lines), but its fold summaries must still route like the accesses
+/// they summarize.
+static SHARDED: [MonitorSpec; 4] = [sharded(0), sharded(1), sharded(2), sharded(3)];
+
+const fn sharded(idx: usize) -> MonitorSpec {
+    MonitorSpec {
+        shardable: true,
+        ..MONITORS[idx]
+    }
+}
+
+/// `monitor` over `program` in `mode`, with `shards` shards for the
+/// sharded modes.
+fn run<'a>(
+    program: &'a Program,
+    mode: RunMode,
+    monitor: impl Into<MonitorChoice<'a>>,
+    shards: usize,
+    config: &'a SystemConfig,
+) -> RunOutcome {
+    let request = Run::new(program).mode(mode).monitor(monitor);
+    let outcome = request.workers(shards).config(config).run();
+    outcome.unwrap_or_else(|e| panic!("{mode} on {}: {e}", program.name()))
+}
+
+/// The modeled clocks of a modeled mode's outcome.
+fn modeled(outcome: RunOutcome) -> RunReport {
+    match outcome {
+        RunOutcome::Run(report) => report,
+        other => panic!("{} reports no modeled clocks", other.mode),
     }
 }
 
@@ -66,10 +93,9 @@ fn assert_ledger(log: &LogStats, what: &str) {
 /// Findings equality between a windowed run and the unfiltered baseline,
 /// plus the stats invariants that hold for every sound contract.
 fn assert_filtered_equivalent(program: &Program, lifeguard_idx: usize, window: usize) {
-    let mut lg = make_lifeguard(lifeguard_idx);
-    let base = run_lba(program, lg.as_mut(), &with_window(0)).expect("unfiltered run");
-    let mut lg = make_lifeguard(lifeguard_idx);
-    let filtered = run_lba(program, lg.as_mut(), &with_window(window)).expect("filtered run");
+    let monitor = &MONITORS[lifeguard_idx];
+    let base = modeled(run(program, RunMode::Lba, monitor, 1, &with_window(0)));
+    let filtered = modeled(run(program, RunMode::Lba, monitor, 1, &with_window(window)));
 
     let what = format!(
         "{} / lifeguard {lifeguard_idx} / window {window}",
@@ -118,11 +144,17 @@ fn assert_parallel_filtered_equivalent(
     shards: usize,
     window: usize,
 ) {
-    let make = || make_lifeguard(lifeguard_idx);
-    let base = run_lba_parallel(program, make, shards, &with_window(0)).expect("unfiltered");
+    let monitor = &SHARDED[lifeguard_idx];
+    let base = modeled(run(
+        program,
+        RunMode::LbaParallel,
+        monitor,
+        shards,
+        &with_window(0),
+    ));
     let cfg = with_window(window);
-    let filtered = run_lba_parallel(program, make, shards, &cfg).expect("filtered");
-    let live = run_live_parallel(program, make, shards, &cfg).expect("live filtered");
+    let filtered = modeled(run(program, RunMode::LbaParallel, monitor, shards, &cfg));
+    let live = run(program, RunMode::LiveParallel, monitor, shards, &cfg);
 
     let what = format!(
         "{} / lifeguard {lifeguard_idx} / {shards} shards / window {window}",
@@ -209,7 +241,7 @@ fn sharded_fold_summaries_route_identically_in_both_modes() {
         assert_parallel_filtered_equivalent(&program, 3, shards, 256);
     }
     let cfg = with_window(256);
-    let report = run_lba_parallel(&program, || make_lifeguard(3), 3, &cfg).unwrap();
+    let report = run(&program, RunMode::LbaParallel, &SHARDED[3], 3, &cfg);
     assert!(
         report.capture.deduped > 0,
         "gzip must fold under MemProfile"
@@ -224,10 +256,14 @@ fn live_wire_stream_matches_cosim_with_window_on() {
     // deterministic and mode-independent.
     let program = Benchmark::Gzip.build();
     let config = with_window(4096);
-    let mut lg = AddrCheck::new();
-    let cosim = run_lba(&program, &mut lg, &config).unwrap();
-    let mut lg = AddrCheck::new();
-    let live = run_live(&program, &mut lg, &config).unwrap();
+    let cosim = run(&program, RunMode::Lba, LifeguardKind::AddrCheck, 1, &config);
+    let live = run(
+        &program,
+        RunMode::Live,
+        LifeguardKind::AddrCheck,
+        1,
+        &config,
+    );
     assert!(cosim.log.deduped > 0, "gzip must have duplicates to drop");
     assert_eq!(live.log, cosim.log, "filtered wire streams must agree");
     assert_eq!(live.findings, cosim.findings);
@@ -252,10 +288,11 @@ fn memprofile_totals_stay_exact_under_folding() {
     // back as a count, so the end-of-run profile is *equal*, not merely
     // close — histograms included.
     for program in [Benchmark::Gzip.build(), make_program(4)] {
+        // Lent instances: the profiles are read back after the runs.
         let mut base = MemProfile::new();
-        let unfiltered = run_lba(&program, &mut base, &with_window(0)).unwrap();
+        let unfiltered = run(&program, RunMode::Lba, &mut base, 1, &with_window(0));
         let mut folded = MemProfile::new();
-        let filtered = run_lba(&program, &mut folded, &with_window(512)).unwrap();
+        let filtered = run(&program, RunMode::Lba, &mut folded, 1, &with_window(512));
 
         assert!(filtered.log.deduped > 0, "{}: no folding", program.name());
         assert!(filtered.log.folded > 0, "{}: no summaries", program.name());
@@ -293,10 +330,9 @@ fn dedup_shrinks_records_wire_bits_and_lifeguard_time() {
     // shipped, fewer bits on the wire, less lifeguard-core time — same
     // findings (pinned above).
     let program = Benchmark::Gzip.build();
-    let mut lg = AddrCheck::new();
-    let base = run_lba(&program, &mut lg, &with_window(0)).unwrap();
-    let mut lg = AddrCheck::new();
-    let filtered = run_lba(&program, &mut lg, &with_window(4096)).unwrap();
+    let kind = LifeguardKind::AddrCheck;
+    let base = modeled(run(&program, RunMode::Lba, kind, 1, &with_window(0)));
+    let filtered = modeled(run(&program, RunMode::Lba, kind, 1, &with_window(4096)));
 
     assert!(filtered.log.deduped > 0);
     assert!(
@@ -331,10 +367,14 @@ fn range_filter_and_window_compose_in_one_pass() {
         lba_mem::layout::HEAP_BASE,
         lba_mem::layout::HEAP_END,
     )]));
-    let mut lg = AddrCheck::new();
-    let cosim = run_lba(&program, &mut lg, &config).unwrap();
-    let mut lg = AddrCheck::new();
-    let live = run_live(&program, &mut lg, &config).unwrap();
+    let cosim = run(&program, RunMode::Lba, LifeguardKind::AddrCheck, 1, &config);
+    let live = run(
+        &program,
+        RunMode::Live,
+        LifeguardKind::AddrCheck,
+        1,
+        &config,
+    );
 
     assert!(cosim.log.filtered > 0, "range filter must drop");
     assert!(cosim.log.deduped > 0, "window must drop too");
@@ -342,7 +382,7 @@ fn range_filter_and_window_compose_in_one_pass() {
 
     // Findings still match a fully unfiltered run: the heap range is
     // sound for AddrCheck, and the window is sound by contract.
-    let mut lg = AddrCheck::new();
-    let unfiltered = run_lba(&program, &mut lg, &SystemConfig::default()).unwrap();
+    let kind = LifeguardKind::AddrCheck;
+    let unfiltered = run(&program, RunMode::Lba, kind, 1, &SystemConfig::default());
     assert_eq!(cosim.findings, unfiltered.findings);
 }

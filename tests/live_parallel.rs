@@ -1,13 +1,27 @@
-//! Live-parallel ≡ modeled-parallel: `run_live_parallel` (real threads,
-//! real SPSC frame channels) and `run_lba_parallel` (deterministic model)
+//! Live-parallel ≡ modeled-parallel: `RunMode::LiveParallel` (real
+//! threads, real SPSC frame channels) and `RunMode::LbaParallel`
+//! (deterministic model)
 //! share the router and the frame codec, so for every shard count they
 //! must produce identical merged findings and — because the per-shard
 //! record streams and frame boundaries match — byte-identical per-shard
 //! wire streams.
 
-use lba::parallel::run_lba_parallel;
-use lba::{run_live_parallel, ChannelStats, LifeguardKind, SystemConfig};
+use lba::{ChannelStats, LifeguardKind, Run, RunMode, RunOutcome, SystemConfig};
+use lba_isa::Program;
 use lba_workloads::{bugs, Benchmark};
+
+/// `kind` over `program` in a sharded `mode` with `shards` shards.
+fn sharded(
+    program: &Program,
+    mode: RunMode,
+    kind: LifeguardKind,
+    shards: usize,
+    config: &SystemConfig,
+) -> RunOutcome {
+    let request = Run::new(program).mode(mode).monitor(kind);
+    let outcome = request.workers(shards).config(config).run();
+    outcome.unwrap_or_else(|e| panic!("{mode}/{kind} x{shards}: {e}"))
+}
 
 /// The per-shard statistics that must be identical between the modeled
 /// and live transports (the high-water mark is timing-dependent in live
@@ -29,8 +43,8 @@ fn live_parallel_matches_modeled_parallel_on_bug_workloads() {
         (LifeguardKind::LockSet, bugs::data_race()),
     ] {
         for shards in [1, 2, 4] {
-            let live = run_live_parallel(&program, || kind.make_lba(), shards, &config).unwrap();
-            let modeled = run_lba_parallel(&program, || kind.make_lba(), shards, &config).unwrap();
+            let live = sharded(&program, RunMode::LiveParallel, kind, shards, &config);
+            let modeled = sharded(&program, RunMode::LbaParallel, kind, shards, &config);
             let what = format!("{kind} / {} / {shards} shards", program.name());
             assert_eq!(live.findings, modeled.findings, "findings: {what}");
             assert!(!live.findings.is_empty(), "bug workload finds bugs: {what}");
@@ -54,10 +68,9 @@ fn live_parallel_matches_modeled_parallel_on_a_clean_benchmark() {
     // equality is the whole assertion.
     let config = SystemConfig::default();
     let program = Benchmark::Gzip.build();
-    let live =
-        run_live_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 3, &config).unwrap();
-    let modeled =
-        run_lba_parallel(&program, || LifeguardKind::AddrCheck.make_lba(), 3, &config).unwrap();
+    let kind = LifeguardKind::AddrCheck;
+    let live = sharded(&program, RunMode::LiveParallel, kind, 3, &config);
+    let modeled = sharded(&program, RunMode::LbaParallel, kind, 3, &config);
     assert!(live.findings.is_empty());
     assert_eq!(live.findings, modeled.findings);
     for (l, m) in live.channels.iter().zip(&modeled.channels) {
@@ -77,9 +90,9 @@ fn live_parallel_consumption_granularities_agree() {
     let mut per_record_cfg = batched_cfg.clone();
     per_record_cfg.log.batch_dispatch = false;
 
-    let make = || LifeguardKind::AddrCheck.make_lba();
-    let batched = run_live_parallel(&program, make, 3, &batched_cfg).unwrap();
-    let per_record = run_live_parallel(&program, make, 3, &per_record_cfg).unwrap();
+    let kind = LifeguardKind::AddrCheck;
+    let batched = sharded(&program, RunMode::LiveParallel, kind, 3, &batched_cfg);
+    let per_record = sharded(&program, RunMode::LiveParallel, kind, 3, &per_record_cfg);
     assert_eq!(batched.findings, per_record.findings);
     for (b, p) in batched.channels.iter().zip(&per_record.channels) {
         assert_eq!(wire_view(b), wire_view(p));

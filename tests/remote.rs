@@ -1,13 +1,14 @@
-//! Socket-transport equivalence at the integration level: `run_remote`
-//! moves each shard's sealed frames across a real Unix-domain socket
-//! under the credit window, and must be *observationally identical* to
-//! the in-process `run_live_parallel` — same merged findings, and the
+//! Socket-transport equivalence at the integration level:
+//! `RunMode::Remote` moves each shard's sealed frames across a real
+//! Unix-domain socket under the credit window, and must be
+//! *observationally identical* to the in-process `RunMode::LiveParallel`
+//! — same merged findings, and the
 //! same per-shard wire accounting bit for bit, at every worker count.
 //! The socket is a transport, not a re-encode.
 
 use proptest::prelude::*;
 
-use lba::{run_live_parallel, run_remote, LifeguardKind, Run, RunMode, RunOutcome, SystemConfig};
+use lba::{LifeguardKind, Run, RunMode, RunOutcome, SystemConfig};
 use lba_workloads::{bugs, Benchmark};
 
 /// The shardable (program, lifeguard) grid the socket modes are exercised
@@ -35,10 +36,13 @@ proptest! {
         let (program, kind) = case(case_index);
         let config = SystemConfig::default();
         for workers in [1usize, 2, 4] {
-            let live = run_live_parallel(&program, || kind.make_lba(), workers, &config)
-                .expect("live-parallel runs clean");
-            let remote = run_remote(&program, || kind.make_lba(), workers, &config)
-                .expect("remote runs clean");
+            let run = |mode| {
+                let request = Run::new(&program).mode(mode).monitor(kind);
+                let outcome = request.workers(workers).config(&config).run();
+                outcome.unwrap_or_else(|e| panic!("{mode} runs clean: {e}"))
+            };
+            let live = run(RunMode::LiveParallel);
+            let remote = run(RunMode::Remote);
             let what = format!("{}/{} at {workers} workers", program.name(), kind.name());
             prop_assert_eq!(
                 &remote.findings, &live.findings,
@@ -63,19 +67,22 @@ proptest! {
 
 #[test]
 fn builder_remote_mode_is_the_same_run() {
-    // The unified builder's `RunMode::Remote` is the same code path as the
-    // free function — same findings, same wire accounting.
+    // The builder's `RunMode::Remote` reports the live shape, with one
+    // channel per worker, and matches the in-process shards' findings
+    // and wire accounting.
     let program = bugs::memory_bugs();
     let config = SystemConfig::default();
-    let direct = run_remote(&program, || LifeguardKind::AddrCheck.make_lba(), 2, &config)
-        .expect("direct call runs clean");
-    let built = Run::new(&program)
-        .mode(RunMode::Remote)
-        .monitor(LifeguardKind::AddrCheck)
-        .workers(2)
-        .config(&config)
+    let request = |mode| {
+        Run::new(&program)
+            .mode(mode)
+            .monitor(LifeguardKind::AddrCheck)
+            .workers(2)
+            .config(&config)
+    };
+    let direct = request(RunMode::LiveParallel)
         .run()
-        .expect("builder runs clean");
+        .expect("live-parallel runs clean");
+    let built = request(RunMode::Remote).run().expect("builder runs clean");
     assert_eq!(built.findings, direct.findings);
     assert_eq!(built.log.wire_bits, direct.log.wire_bits);
     let RunOutcome::Live(report) = &built else {

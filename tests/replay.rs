@@ -3,17 +3,47 @@
 //! byte-identical to the original run; damaged recordings produce
 //! descriptive errors, never panics; retention bounds disk.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
 use lba::{
-    run_lba, run_live, run_live_parallel, run_replay, run_replay_with, AdaptiveConfig,
-    FaultProfile, LifeguardKind, RecordConfig, ReplayError, ReplayMode, SystemConfig,
+    AdaptiveConfig, FaultProfile, LbaError, LifeguardKind, RecordConfig, ReplayError, ReplayMode,
+    ReplayReport, Run, RunMode, RunOutcome, SystemConfig,
 };
+use lba_isa::Program;
 use lba_record::{segment_file_name, StreamError};
 use lba_workloads::{bugs, Benchmark};
+
+/// `kind` over `program` in `mode`, 3 shards for the sharded modes.
+fn run(program: &Program, mode: RunMode, kind: LifeguardKind, config: &SystemConfig) -> RunOutcome {
+    let request = Run::new(program).mode(mode).monitor(kind);
+    let outcome = request.workers(3).config(config).run();
+    outcome.unwrap_or_else(|e| panic!("{mode} run: {e}"))
+}
+
+/// Replays the recording of `program` in `dir` through `kind` under
+/// `policy`, failing with the replay layer's own error.
+fn replay(
+    program: &Program,
+    dir: &Path,
+    kind: LifeguardKind,
+    config: &SystemConfig,
+    policy: ReplayMode,
+) -> Result<ReplayReport, ReplayError> {
+    let request = Run::new(program).mode(RunMode::Replay).monitor(kind);
+    match request
+        .config(config)
+        .replay_from(dir)
+        .replay_mode(policy)
+        .run()
+    {
+        Ok(RunOutcome::Replay(report)) => Ok(report),
+        Err(LbaError::Replay(e)) => Err(e),
+        other => panic!("a replay ends in a ReplayReport or a ReplayError: {other:?}"),
+    }
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -38,10 +68,9 @@ fn cosim_recording_replays_byte_identical() {
     let dir = temp_dir("cosim");
     let config = recording_config(&dir);
     let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
-    let original = run_lba(&program, lg.as_mut(), &config).unwrap();
+    let original = run(&program, RunMode::Lba, kind, &config);
 
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let replay = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap();
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.streams.len(), 1, "cosim records one stream");
     assert_eq!(replay.log.wire_bits, original.log.wire_bits);
@@ -58,10 +87,9 @@ fn per_record_dispatch_recording_replays_byte_identical() {
     let mut config = recording_config(&dir);
     config.log.batch_dispatch = false;
     let kind = LifeguardKind::LockSet;
-    let mut lg = kind.make_lba();
-    let original = run_lba(&program, lg.as_mut(), &config).unwrap();
+    let original = run(&program, RunMode::Lba, kind, &config);
 
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let replay = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap();
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.log.wire_bits, original.log.wire_bits);
     std::fs::remove_dir_all(&dir).ok();
@@ -73,10 +101,9 @@ fn live_recording_replays_byte_identical() {
     let dir = temp_dir("live");
     let config = recording_config(&dir);
     let kind = LifeguardKind::TaintCheck;
-    let mut lg = kind.make_lba();
-    let original = run_live(&program, lg.as_mut(), &config).unwrap();
+    let original = run(&program, RunMode::Live, kind, &config);
 
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let replay = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap();
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.streams.len(), 1, "live records one stream");
     assert_eq!(replay.log.wire_bits, original.log.wire_bits);
@@ -90,10 +117,9 @@ fn modeled_parallel_recording_replays_byte_identical_per_shard() {
     let dir = temp_dir("parallel");
     let config = recording_config(&dir);
     let kind = LifeguardKind::AddrCheck;
-    let original =
-        lba::parallel::run_lba_parallel(&program, || kind.make_lba(), 3, &config).unwrap();
+    let original = run(&program, RunMode::LbaParallel, kind, &config);
 
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let replay = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap();
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.streams.len(), 3, "one recorded stream per shard");
     for (stream, shard) in replay.streams.iter().zip(&original.channels) {
@@ -110,9 +136,9 @@ fn live_parallel_recording_replays_byte_identical_per_shard() {
     let dir = temp_dir("live-parallel");
     let config = recording_config(&dir);
     let kind = LifeguardKind::AddrCheck;
-    let original = run_live_parallel(&program, || kind.make_lba(), 3, &config).unwrap();
+    let original = run(&program, RunMode::LiveParallel, kind, &config);
 
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let replay = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap();
     assert_eq!(replay.findings, original.findings);
     assert_eq!(replay.streams.len(), 3, "one recorded stream per shard");
     for (stream, shard) in replay.streams.iter().zip(&original.channels) {
@@ -129,13 +155,12 @@ fn replay_through_a_different_lifeguard_works() {
     let program = bugs::data_race();
     let dir = temp_dir("cross-lifeguard");
     let config = recording_config(&dir);
-    let mut lg = LifeguardKind::AddrCheck.make_lba();
-    run_lba(&program, lg.as_mut(), &config).unwrap();
+    run(&program, RunMode::Lba, LifeguardKind::AddrCheck, &config);
 
-    let replay = run_replay(&dir, || LifeguardKind::LockSet.make_lba(), &config).unwrap();
+    let lockset = LifeguardKind::LockSet;
+    let replay = replay(&program, &dir, lockset, &config, ReplayMode::Strict).unwrap();
     // LockSet over the recorded stream equals LockSet run live.
-    let mut lg = LifeguardKind::LockSet.make_lba();
-    let direct = run_lba(&program, lg.as_mut(), &SystemConfig::default()).unwrap();
+    let direct = run(&program, RunMode::Lba, lockset, &SystemConfig::default());
     assert_eq!(replay.findings, direct.findings);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -151,8 +176,7 @@ fn retention_cap_bounds_disk_and_replay_reports_aged_out() {
         retain_bytes: 24 << 10,
     });
     let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
-    let original = run_lba(&program, lg.as_mut(), &config).unwrap();
+    let original = run(&program, RunMode::Lba, kind, &config);
     assert!(
         original.log.wire_bits / 8 > 24 << 10,
         "workload must outgrow the retention cap for this test to bite"
@@ -169,7 +193,7 @@ fn retention_cap_bounds_disk_and_replay_reports_aged_out() {
 
     // The aged-out stream cannot be replayed (predictor state starts at
     // segment 0) and says so descriptively.
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap_err();
     assert!(
         matches!(
             &err,
@@ -190,14 +214,13 @@ fn damaged_recordings_error_descriptively() {
     let dir = temp_dir("damage");
     let config = recording_config(&dir);
     let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
-    run_lba(&program, lg.as_mut(), &config).unwrap();
+    run(&program, RunMode::Lba, kind, &config);
     let segment = dir.join(segment_file_name(0, 0));
     let pristine = std::fs::read(&segment).unwrap();
 
     // Truncated mid-record.
     std::fs::write(&segment, &pristine[..pristine.len() - 11]).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap_err();
     assert!(
         matches!(&err, ReplayError::Stream(StreamError::Truncated { .. })),
         "got: {err}"
@@ -205,7 +228,7 @@ fn damaged_recordings_error_descriptively() {
 
     // Missing End record (cut exactly at the record boundary).
     std::fs::write(&segment, &pristine[..pristine.len() - 9]).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap_err();
     assert!(
         matches!(&err, ReplayError::Stream(StreamError::MissingEnd { .. })),
         "got: {err}"
@@ -215,7 +238,7 @@ fn damaged_recordings_error_descriptively() {
     let mut bytes = pristine.clone();
     bytes[5] = b'7';
     std::fs::write(&segment, &bytes).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap_err();
     assert!(
         matches!(&err, ReplayError::Stream(StreamError::UnknownVersion { version, .. }) if version == "7"),
         "got: {err}"
@@ -226,7 +249,7 @@ fn damaged_recordings_error_descriptively() {
     let flip = 24 + 21 + 40; // header + frame-record header + into payload
     bytes[flip] ^= 0x55;
     std::fs::write(&segment, &bytes).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap_err();
     assert!(
         matches!(&err, ReplayError::Stream(StreamError::Corrupt { .. })),
         "got: {err}"
@@ -237,7 +260,7 @@ fn damaged_recordings_error_descriptively() {
     let mut bytes = pristine.clone();
     bytes[8..12].copy_from_slice(&999u32.to_le_bytes());
     std::fs::write(&segment, &bytes).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap_err();
     assert!(
         matches!(&err, ReplayError::CodecMismatch { recorded: 999, .. }),
         "got: {err}"
@@ -245,7 +268,7 @@ fn damaged_recordings_error_descriptively() {
 
     // An empty recording directory is its own descriptive error.
     std::fs::remove_file(&segment).unwrap();
-    let err = run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
+    let err = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap_err();
     assert!(matches!(&err, ReplayError::NoStreams { .. }), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -259,16 +282,14 @@ fn salvage_prefix_replays_checksummed_prefix_of_torn_tail() {
     let dir = temp_dir("salvage");
     let config = recording_config(&dir);
     let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
-    let original = run_lba(&program, lg.as_mut(), &config).unwrap();
+    let original = run(&program, RunMode::Lba, kind, &config);
     let segment = dir.join(segment_file_name(0, 0));
     let pristine = std::fs::read(&segment).unwrap();
 
     // Truncated mid-record: strict refuses, salvage keeps the prefix.
     std::fs::write(&segment, &pristine[..pristine.len() - 11]).unwrap();
-    run_replay(&dir, || kind.make_lba(), &config).unwrap_err();
-    let report =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
+    replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap_err();
+    let report = replay(&program, &dir, kind, &config, ReplayMode::SalvagePrefix).unwrap();
     assert!(report.is_lossy());
     assert_eq!(report.salvaged.len(), 1);
     let tail = &report.salvaged[0];
@@ -283,8 +304,7 @@ fn salvage_prefix_replays_checksummed_prefix_of_torn_tail() {
 
     // Missing End record (cut exactly at the record boundary).
     std::fs::write(&segment, &pristine[..pristine.len() - 9]).unwrap();
-    let report =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
+    let report = replay(&program, &dir, kind, &config, ReplayMode::SalvagePrefix).unwrap();
     assert!(report.is_lossy());
     assert!(report.salvaged[0].detail.contains("End"), "got: {report}");
 
@@ -292,8 +312,7 @@ fn salvage_prefix_replays_checksummed_prefix_of_torn_tail() {
     let mut bytes = pristine.clone();
     bytes[24 + 21 + 40] ^= 0x55;
     std::fs::write(&segment, &bytes).unwrap();
-    let report =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
+    let report = replay(&program, &dir, kind, &config, ReplayMode::SalvagePrefix).unwrap();
     assert!(report.is_lossy());
     assert!(
         report.salvaged[0].detail.contains("checksum mismatch"),
@@ -315,8 +334,7 @@ fn salvage_prefix_on_a_multi_segment_tear_keeps_earlier_segments() {
         retain_bytes: u64::MAX,
     });
     let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
-    let original = run_lba(&program, lg.as_mut(), &config).unwrap();
+    let original = run(&program, RunMode::Lba, kind, &config);
 
     let mut segments: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
@@ -328,8 +346,7 @@ fn salvage_prefix_on_a_multi_segment_tear_keeps_earlier_segments() {
     let bytes = std::fs::read(last).unwrap();
     std::fs::write(last, &bytes[..bytes.len() - 11]).unwrap();
 
-    let report =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap();
+    let report = replay(&program, &dir, kind, &config, ReplayMode::SalvagePrefix).unwrap();
     assert!(report.is_lossy());
     assert!(
         report.salvaged[0].frames_salvaged > 0,
@@ -348,16 +365,14 @@ fn salvage_prefix_keeps_pre_frame_damage_fatal() {
     let dir = temp_dir("salvage-fatal");
     let config = recording_config(&dir);
     let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
-    run_lba(&program, lg.as_mut(), &config).unwrap();
+    run(&program, RunMode::Lba, kind, &config);
     let segment = dir.join(segment_file_name(0, 0));
     let pristine = std::fs::read(&segment).unwrap();
 
     let mut bytes = pristine.clone();
     bytes[8..12].copy_from_slice(&999u32.to_le_bytes());
     std::fs::write(&segment, &bytes).unwrap();
-    let err =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap_err();
+    let err = replay(&program, &dir, kind, &config, ReplayMode::SalvagePrefix).unwrap_err();
     assert!(
         matches!(&err, ReplayError::CodecMismatch { recorded: 999, .. }),
         "got: {err}"
@@ -366,8 +381,7 @@ fn salvage_prefix_keeps_pre_frame_damage_fatal() {
     let mut bytes = pristine.clone();
     bytes[5] = b'7';
     std::fs::write(&segment, &bytes).unwrap();
-    let err =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap_err();
+    let err = replay(&program, &dir, kind, &config, ReplayMode::SalvagePrefix).unwrap_err();
     assert!(
         matches!(
             &err,
@@ -377,8 +391,7 @@ fn salvage_prefix_keeps_pre_frame_damage_fatal() {
     );
 
     std::fs::remove_file(&segment).unwrap();
-    let err =
-        run_replay_with(&dir, || kind.make_lba(), &config, ReplayMode::SalvagePrefix).unwrap_err();
+    let err = replay(&program, &dir, kind, &config, ReplayMode::SalvagePrefix).unwrap_err();
     assert!(matches!(&err, ReplayError::NoStreams { .. }), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -400,14 +413,13 @@ fn degraded_spans_ride_the_recording_into_replay() {
     config.log.fault = Some(FaultProfile::slow_drain(42));
     config.log.buffer_bytes = 2 << 10;
     let kind = LifeguardKind::AddrCheck;
-    let mut lg = kind.make_lba();
-    let original = run_lba(&program, lg.as_mut(), &config).unwrap();
+    let original = run(&program, RunMode::Lba, kind, &config);
     assert!(
         !original.degradation.is_empty(),
         "precondition: the recording run must actually degrade"
     );
 
-    let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+    let replay = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap();
     assert!(
         replay.total_degraded_frames() > 0,
         "degraded spans must ride the flight-recorder stream"
@@ -452,10 +464,9 @@ proptest! {
             segment_bytes,
             retain_bytes: u64::MAX,
         });
-        let mut lg = kind.make_lba();
-        let original = run_lba(&program, lg.as_mut(), &config).unwrap();
+        let original = run(&program, RunMode::Lba, kind, &config);
 
-        let replay = run_replay(&dir, || kind.make_lba(), &config).unwrap();
+        let replay = replay(&program, &dir, kind, &config, ReplayMode::Strict).unwrap();
         prop_assert_eq!(&replay.findings, &original.findings);
         prop_assert_eq!(replay.log.wire_bits, original.log.wire_bits);
         prop_assert_eq!(replay.log.records, original.log.records);
