@@ -312,6 +312,12 @@ pub struct SystemConfig {
     pub dbi: DbiConfig,
 }
 
+/// The lifeguard core's index in the [`SystemConfig::mem_dual`] geometry
+/// (the application core is 0). The consumers of the live and replay
+/// modes charge it too, though only for shadow-cost accounting: those
+/// modes report no modeled clocks.
+pub(crate) const LG_CORE: usize = 1;
+
 impl SystemConfig {
     /// Memory-system geometry for the unmonitored and DBI runs (one core).
     #[must_use]

@@ -9,14 +9,10 @@ use lba_lifeguard::{DegradationRequest, DispatchEngine, Finding, Lifeguard};
 use lba_record::EventRecord;
 use lba_transport::{modeled_channel, FaultInjector, LoadSample, LogChannel, PushOutcome};
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, LG_CORE};
 use crate::pipeline::{Producer, ProducerLink};
 use crate::report::{PipelineReport, RunReport, StallBreakdown};
 use crate::runner::RunMode;
-
-/// The lifeguard core's MemSystem index (the application core is 0, which
-/// is the machine's default).
-const LG_CORE: usize = 1;
 
 /// Bits per transferred cache line of log data.
 const LINE_BITS: u64 = FRAME_LINE_BYTES as u64 * 8;
@@ -520,7 +516,10 @@ mod tests {
         assert_eq!(err, RunError::ZeroRecordsPerFrame);
         let mut lg = AddrCheck::new();
         let err = crate::live::run_live(&program, &mut lg, &config).unwrap_err();
-        assert_eq!(err, RunError::ZeroRecordsPerFrame);
+        assert!(
+            matches!(err, crate::LbaError::Run(RunError::ZeroRecordsPerFrame)),
+            "got: {err}"
+        );
     }
 
     #[test]

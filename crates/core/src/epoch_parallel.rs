@@ -29,12 +29,14 @@
 //!   module's tests (master state) and `tests/epoch_taint.rs` (findings
 //!   through the public builder).
 //!
-//! Three runners share the machinery: [`run_epoch_parallel`] (the modeled
-//! mode: deterministic worker/stitch clocks, reporting the cycle-level
-//! speedup), [`run_live_epoch_parallel`] (real OS threads: one producer,
-//! `workers` summarizer threads, one merge thread), and
+//! Three runners share the machinery, and every one of them drives its
+//! workers through the one [`EpochWorker`] step: [`run_epoch_parallel`]
+//! (the modeled mode: deterministic worker/stitch clocks, reporting the
+//! cycle-level speedup), [`run_live_epoch_parallel`] (the fan-out runner
+//! over an [`EpochRouted`] topology: one producer thread, `workers`
+//! summarizer threads, and the merge on the calling thread), and
 //! [`run_replay_epoch`] (offline: rebuild epochs from the recorded frame
-//! marks of a live epoch run and re-stitch). Like the sharded parallel
+//! marks of an epoch run and re-stitch). Like the sharded parallel
 //! study, the modeled mode isolates lifeguard-side scaling: no
 //! back-pressure, syscall-stall, or line-transfer charges — compare
 //! against `run_lba`'s lifeguard-bound totals. The passthrough producer
@@ -46,23 +48,19 @@
 //! [`RunMode::EpochParallel`](crate::RunMode::EpochParallel).
 
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicU64;
 use std::sync::mpsc;
-use std::thread;
 
 use lba_cache::{MemSystem, MemSystemConfig};
 use lba_cpu::{Machine, RunError, StepOutcome};
 use lba_isa::Program;
 use lba_lifeguard::{DispatchEngine, EpochLifeguard, EpochSummarizer, Finding, HandlerCtx};
 use lba_record::EventRecord;
-use lba_transport::live::FrameReceiver;
-use lba_transport::{ChannelStats, LogChannel, ModeledFrameChannel};
+use lba_transport::{modeled_channel, ChannelStats, LogChannel, ModeledFrameChannel};
 
-use crate::config::SystemConfig;
-use crate::fanout::{finish_senders, join_thread, live_senders, FanOutLink};
-use crate::pipeline::{
-    ConsumerTopology, EpochRouted, Producer, ProducerFinish, ProducerLink, Route,
-};
+use crate::config::{SystemConfig, LG_CORE};
+use crate::error::LbaError;
+use crate::fanout::{live_senders, run_fanout, BatchSource, FanOut};
+use crate::pipeline::{ConsumerTopology, EpochRouted, Producer, ProducerLink, Route};
 use crate::replay::ReplayError;
 use crate::report::{PipelineReport, ReplayReport, ReplayStreamStats, RunReport, StallBreakdown};
 use crate::runner::RunMode;
@@ -72,45 +70,91 @@ use crate::runner::RunMode;
 /// the sharded study, no back-pressure is modelled.
 const EPOCH_BUFFER_BYTES: u64 = 1 << 20;
 
-/// One modeled worker: its channel, summarizer, clock, and the summaries
-/// it has sealed (with their completion times), oldest first.
-struct ModeledWorker<S: EpochSummarizer> {
-    channel: ModeledFrameChannel,
+/// One epoch worker's step, written once for the modeled, live and replay
+/// runners: each frame goes through the dispatch engine into the
+/// summarizer, an epoch-end mark seals a summary, and the stream's
+/// unmarked tail is finalized once it ends.
+struct EpochWorker<S> {
     summarizer: S,
-    clock: u64,
+    engine: DispatchEngine,
+    core: usize,
     /// Whether records arrived since the last epoch-end mark — the open
     /// tail epoch. Tracked here rather than via
     /// [`EpochSummarizer::is_open`] because the dispatch engine masks
     /// unsubscribed records before the summarizer sees them, yet the
     /// router still counts them toward the epoch.
     open: bool,
+}
+
+impl<S: EpochSummarizer> EpochWorker<S> {
+    /// A worker summarizing into `summarizer`, charging `core`.
+    fn new(summarizer: S, engine: DispatchEngine, core: usize) -> Self {
+        EpochWorker {
+            summarizer,
+            engine,
+            core,
+            open: false,
+        }
+    }
+
+    /// Delivers one frame's `records`, charging `core` of `mem`. Returns
+    /// the cycles charged and, when the frame carries the epoch-end mark,
+    /// the epoch's summary.
+    fn consume(
+        &mut self,
+        mem: &mut MemSystem,
+        records: &[EventRecord],
+        epoch_end: bool,
+    ) -> (u64, Option<S::Summary>) {
+        // Summarizers pend findings symbolically instead of reporting, so
+        // this sink stays empty; the master reports at absorb time.
+        let mut no_findings = Vec::new();
+        self.open |= !records.is_empty();
+        let cycles = self.engine.deliver_batch(
+            &mut self.summarizer,
+            records,
+            mem,
+            self.core,
+            &mut no_findings,
+        );
+        debug_assert!(no_findings.is_empty(), "summarizers never report directly");
+        (cycles, epoch_end.then(|| self.seal()))
+    }
+
+    /// Finalizes the open tail epoch, if any: the stream tail ships
+    /// unmarked.
+    fn finish_tail(&mut self) -> Option<S::Summary> {
+        (self.open || self.summarizer.is_open()).then(|| self.seal())
+    }
+
+    fn seal(&mut self) -> S::Summary {
+        self.open = false;
+        self.summarizer.finish_epoch()
+    }
+}
+
+/// One modeled worker: its channel, its [`EpochWorker`] step, its clock,
+/// and the summaries it has sealed (with their completion times), oldest
+/// first.
+struct ModeledWorker<S: EpochSummarizer> {
+    channel: ModeledFrameChannel,
+    worker: EpochWorker<S>,
+    clock: u64,
     done: VecDeque<(S::Summary, u64)>,
 }
 
 impl<S: EpochSummarizer> ModeledWorker<S> {
     /// Drains every available frame into the summarizer, sealing a
     /// summary at each epoch-end mark.
-    fn drain(&mut self, engine: &DispatchEngine, mem: &mut MemSystem, core: usize) {
-        // Summarizers pend findings symbolically instead of reporting, so
-        // this sink stays empty; the master reports at absorb time.
-        let mut no_findings = Vec::new();
+    fn drain(&mut self, mem: &mut MemSystem) {
         while let Some(frame) = self.channel.pop_frame() {
             self.clock = self.clock.max(frame.ready_at);
-            self.open = self.open || !frame.records.is_empty();
-            self.clock += engine.deliver_batch(
-                &mut self.summarizer,
-                frame.records,
-                mem,
-                core,
-                &mut no_findings,
-            );
-            if frame.epoch_end {
-                self.done
-                    .push_back((self.summarizer.finish_epoch(), self.clock));
-                self.open = false;
+            let (cycles, summary) = self.worker.consume(mem, frame.records, frame.epoch_end);
+            self.clock += cycles;
+            if let Some(summary) = summary {
+                self.done.push_back((summary, self.clock));
             }
         }
-        debug_assert!(no_findings.is_empty(), "summarizers never report directly");
     }
 }
 
@@ -122,7 +166,6 @@ impl<S: EpochSummarizer> ModeledWorker<S> {
 struct EpochModelLink<'m, E: EpochLifeguard> {
     topology: EpochRouted,
     pool: Vec<ModeledWorker<E::Summarizer>>,
-    engine: DispatchEngine,
     mem: MemSystem,
     master: &'m mut E,
     merge_core: usize,
@@ -156,7 +199,7 @@ impl<E: EpochLifeguard> ProducerLink for EpochModelLink<'_, E> {
                 self.pool[worker]
                     .channel
                     .push_record_epoch(rec, self.app_cycles, end_epoch);
-                self.pool[worker].drain(&self.engine, &mut self.mem, 1 + worker);
+                self.pool[worker].drain(&mut self.mem);
                 self.stitch();
             }
             _ => unreachable!("EpochRouted only yields epoch routes"),
@@ -199,16 +242,18 @@ pub(crate) fn run_epoch_parallel<E: EpochLifeguard>(
     assert!(workers > 0, "need at least one epoch worker");
     config.log.validate_framing()?;
     let mut machine = Machine::new(program, config.machine);
+    let engine = DispatchEngine::new(config.dispatch);
+    // Core 0: application. Cores 1..=workers: summarizers. Last: merge.
     let mut pool: Vec<ModeledWorker<E::Summarizer>> = (0..workers)
-        .map(|_| ModeledWorker {
-            channel: if config.log.batch_dispatch {
-                ModeledFrameChannel::zero_copy(EPOCH_BUFFER_BYTES, config.log.frame_config(), false)
-            } else {
-                ModeledFrameChannel::new(EPOCH_BUFFER_BYTES, config.log.frame_config(), false)
-            },
-            summarizer: master.summarizer(),
+        .map(|idx| ModeledWorker {
+            channel: modeled_channel(
+                EPOCH_BUFFER_BYTES,
+                config.log.frame_config(),
+                config.log.batch_dispatch,
+                false,
+            ),
+            worker: EpochWorker::new(master.summarizer(), engine, 1 + idx),
             clock: 0,
-            open: false,
             done: VecDeque::new(),
         })
         .collect();
@@ -229,8 +274,6 @@ pub(crate) fn run_epoch_parallel<E: EpochLifeguard>(
     let mut link = EpochModelLink::<E> {
         topology: EpochRouted::new(workers, config.log.epoch_records),
         pool,
-        engine: DispatchEngine::new(config.dispatch),
-        // Core 0: application. Cores 1..=workers: summarizers. Last: merge.
         mem: MemSystem::new(MemSystemConfig::multi_core(workers + 2)),
         master,
         merge_core: workers + 1,
@@ -254,15 +297,11 @@ pub(crate) fn run_epoch_parallel<E: EpochLifeguard>(
     // End of program: the tail epoch (if open) ships via a plain unmarked
     // flush; its worker finalises the dangling summary after draining.
     let app_cycles = link.app_cycles;
-    for idx in 0..workers {
-        link.pool[idx].channel.flush(app_cycles);
-        let worker = &mut link.pool[idx];
-        worker.drain(&link.engine, &mut link.mem, 1 + idx);
-        if worker.open || worker.summarizer.is_open() {
-            worker
-                .done
-                .push_back((worker.summarizer.finish_epoch(), worker.clock));
-            worker.open = false;
+    for worker in &mut link.pool {
+        worker.channel.flush(app_cycles);
+        worker.drain(&mut link.mem);
+        if let Some(summary) = worker.worker.finish_tail() {
+            worker.done.push_back((summary, worker.clock));
         }
     }
     link.stitch();
@@ -273,9 +312,7 @@ pub(crate) fn run_epoch_parallel<E: EpochLifeguard>(
     );
     let mut findings = link.findings;
     let mut stitch_clock = link.stitch_clock;
-    stitch_clock += link
-        .engine
-        .finish(link.master, &mut link.mem, link.merge_core, &mut findings);
+    stitch_clock += engine.finish(link.master, &mut link.mem, link.merge_core, &mut findings);
 
     // Close each worker's flight recording (End records + flush).
     for worker in &mut link.pool {
@@ -297,10 +334,10 @@ pub(crate) fn run_epoch_parallel<E: EpochLifeguard>(
     })
 }
 
-/// Runs `program` under the live epoch-parallel pipeline: the producer
-/// thread runs the machine and fans whole epochs out to `workers`
-/// summarizer threads (each decoding its own compressed frame stream);
-/// a merge thread stitches the summaries into `master` in global epoch
+/// Runs `program` under the live epoch-parallel pipeline: the fan-out
+/// runner's producer thread fans whole epochs out to `workers` summarizer
+/// threads (each decoding its own compressed frame stream), and the
+/// calling thread stitches the summaries into `master` in global epoch
 /// order — epochs go round-robin, so the merge polls the worker summary
 /// queues round-robin and stops at the first disconnect (a closed worker
 /// can hold no later epoch).
@@ -316,145 +353,80 @@ pub(crate) fn run_epoch_parallel<E: EpochLifeguard>(
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the machine thread,
+/// Propagates any error from the machine thread,
 /// [`RunError::ChannelStalled`] when a worker stopped draining for longer
 /// than the stall timeout, and [`RunError::WorkerPanicked`] when a worker
-/// or the merge thread panicked (a codec or lifeguard bug).
+/// or the merge panicked (a codec or lifeguard bug).
 ///
 /// # Panics
 ///
 /// Panics if `workers` or `config.log.epoch_records` is zero.
-pub(crate) fn run_live_epoch_parallel<E>(
+pub(crate) fn run_live_epoch_parallel<E: EpochLifeguard>(
     program: &Program,
     master: &mut E,
     workers: usize,
     config: &SystemConfig,
-) -> Result<PipelineReport, RunError>
-where
-    E: EpochLifeguard + Send,
-{
+) -> Result<PipelineReport, LbaError> {
     assert!(workers > 0, "need at least one epoch worker");
-    config.log.validate_framing()?;
     let (senders, receivers) = live_senders(workers, config)?;
-    let summarizers: Vec<E::Summarizer> = (0..workers).map(|_| master.summarizer()).collect();
-    let (sum_txs, sum_rxs): (Vec<_>, Vec<_>) = (0..workers).map(|_| mpsc::channel()).unzip();
     let engine = DispatchEngine::new(config.dispatch);
-
-    thread::scope(|scope| {
-        let consumers: Vec<_> = receivers
-            .into_iter()
-            .zip(summarizers)
-            .zip(sum_txs)
-            .map(|((mut rx, mut summarizer), sum_tx)| {
-                let engine = &engine;
-                let config = &*config;
-                scope.spawn(move || {
-                    let mut mem = MemSystem::new(config.mem_dual());
-                    let mut no_findings = Vec::new();
-                    // Tail-epoch openness is tracked over *all* records
-                    // (the dispatch engine masks unsubscribed kinds before
-                    // the summarizer counts them, yet the router counts
-                    // every record toward the epoch).
-                    let mut open = false;
-                    epoch_consume(&mut rx, |records, epoch_end| {
-                        open = open || !records.is_empty();
-                        engine.deliver_batch(
-                            &mut summarizer,
-                            records,
-                            &mut mem,
-                            1,
-                            &mut no_findings,
-                        );
-                        if epoch_end {
-                            let _ = sum_tx.send(summarizer.finish_epoch());
-                            open = false;
-                        }
-                    });
-                    // The stream tail ships unmarked: finalise the open
-                    // epoch once the channel closes.
-                    if open || summarizer.is_open() {
-                        let _ = sum_tx.send(summarizer.finish_epoch());
-                    }
-                    debug_assert!(no_findings.is_empty(), "summarizers never report");
-                })
-            })
-            .collect();
-
-        let merge = {
-            let master = &mut *master;
-            let engine = &engine;
-            let config = &*config;
-            scope.spawn(move || -> (Vec<Finding>, u64) {
-                let mut mem = MemSystem::new(config.mem_dual());
-                let mut findings = Vec::new();
-                let mut epochs = 0u64;
-                loop {
-                    // Epochs are contiguous round-robin: a disconnect at
-                    // epoch `e` means worker `e % workers` is done, and it
-                    // would have carried every later epoch's predecessor
-                    // slot — no epoch ≥ e exists anywhere.
-                    let Ok(summary) = sum_rxs[(epochs % workers as u64) as usize].recv() else {
-                        break;
-                    };
-                    let mut ctx = HandlerCtx::new(&mut mem, 1, &mut findings);
-                    master.absorb(summary, &mut ctx);
-                    epochs += 1;
+    let (sum_txs, sum_rxs): (Vec<_>, Vec<_>) = (0..workers).map(|_| mpsc::channel()).unzip();
+    let ends: Vec<_> = receivers
+        .into_iter()
+        .zip(sum_txs)
+        .map(|(rx, sum_tx)| {
+            (
+                rx,
+                EpochWorker::new(master.summarizer(), engine, LG_CORE),
+                sum_tx,
+            )
+        })
+        .collect();
+    let run = FanOut {
+        program,
+        config,
+        mode: RunMode::LiveEpochParallel,
+        // Every retired record ships: summaries cover the full stream.
+        producer: Producer::passthrough(),
+        topology: EpochRouted::new(workers, config.log.epoch_records),
+        senders,
+        spawned_thread: "epoch worker",
+        local_thread: "epoch merge",
+    };
+    let mut epochs = 0u64;
+    let (mut report, _) = run_fanout(
+        run,
+        ends,
+        |(mut rx, mut worker, sum_tx), _| {
+            let mut mem = MemSystem::new(config.mem_dual());
+            while let Some((records, epoch_end)) = rx.next_batch()? {
+                if let (_, Some(summary)) = worker.consume(&mut mem, records, epoch_end) {
+                    let _ = sum_tx.send(summary);
                 }
-                engine.finish(master, &mut mem, 1, &mut findings);
-                (findings, epochs)
-            })
-        };
-
-        // Produce on this thread: run the machine and fan epochs out. The
-        // link — and every sender — drops when this closure returns,
-        // closing the worker streams so the consumers and merge finish
-        // whether or not the run errored.
-        let produced = (|| -> Result<(ProducerFinish, Vec<ChannelStats>), RunError> {
-            let mut machine = Machine::new(program, config.machine);
-            let mut mem = MemSystem::new(config.mem_single());
-            let mut producer = Producer::passthrough();
-            // The passthrough producer runs no controller, so nothing
-            // reads the finding count.
-            let no_findings = AtomicU64::new(0);
-            let mut link = FanOutLink {
-                topology: EpochRouted::new(workers, config.log.epoch_records),
-                senders,
-                finding_count: &no_findings,
-            };
-            machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
-            let finish = producer.finish(&mut link);
-            finish_senders(link.senders).map(|channels| (finish, channels))
-        })();
-
-        // Join every thread before returning (the scope re-raises the
-        // panic of any thread left unjoined). A panic is a bug no
-        // producer error explains, so it wins.
-        let workers_done: Vec<_> = consumers
-            .into_iter()
-            .map(|consumer| join_thread(consumer, "epoch worker"))
-            .collect();
-        let merged = join_thread(merge, "epoch merge");
-        workers_done.into_iter().collect::<Result<(), _>>()?;
-        let (findings, epochs) = merged?;
-        let (finish, channels) = produced?;
-        let mut report = PipelineReport::shipped(
-            program,
-            RunMode::LiveEpochParallel,
-            finish,
-            findings,
-            channels,
-        );
-        report.epochs = epochs;
-        Ok(report)
-    })
-}
-
-/// Drives one live worker's receive loop: whole frames with their
-/// epoch-end marks, until the channel closes.
-fn epoch_consume(rx: &mut FrameReceiver, mut consume: impl FnMut(&[EventRecord], bool)) {
-    while let Some((records, epoch_end)) = rx.recv_batch_epoch() {
-        consume(records, epoch_end);
-    }
+            }
+            if let Some(summary) = worker.finish_tail() {
+                let _ = sum_tx.send(summary);
+            }
+            Ok(())
+        },
+        |_| {
+            let mut mem = MemSystem::new(config.mem_dual());
+            let mut findings = Vec::new();
+            // Epochs are contiguous round-robin: a disconnect at epoch `e`
+            // means worker `e % workers` is done, and it would have
+            // carried every later epoch's predecessor slot — no epoch ≥ e
+            // exists anywhere.
+            while let Ok(summary) = sum_rxs[(epochs % workers as u64) as usize].recv() {
+                let mut ctx = HandlerCtx::new(&mut mem, LG_CORE, &mut findings);
+                master.absorb(summary, &mut ctx);
+                epochs += 1;
+            }
+            engine.finish(master, &mut mem, LG_CORE, &mut findings);
+            Ok(findings)
+        },
+    )?;
+    report.epochs = epochs;
+    Ok(report)
 }
 
 /// Replays a recorded epoch-parallel stream set (one stream per worker,
@@ -464,8 +436,7 @@ fn epoch_consume(rx: &mut FrameReceiver, mut consume: impl FnMut(&[EventRecord],
 /// into epochs at the recorded frame marks (a stream tail with no closing
 /// mark is the run's final, open epoch), then the summaries are stitched
 /// into `master` in global epoch order — worker count equals stream
-/// count, epochs round-robin, exactly as they were recorded. This is the
-/// [`ReplaySource`](crate::pipeline::ReplaySource) topology: the recorded
+/// count, epochs round-robin, exactly as they were recorded: the recorded
 /// streams *are* the producer.
 ///
 /// Findings and final `master` state are byte-identical to the recording
@@ -499,7 +470,6 @@ pub(crate) fn run_replay_epoch<E: EpochLifeguard>(
     let mut queues: Vec<VecDeque<<E::Summarizer as EpochSummarizer>::Summary>> =
         Vec::with_capacity(ids.len());
     let mut streams = Vec::with_capacity(ids.len());
-    let mut no_findings = Vec::new();
     for &stream in &ids {
         let mut reader = SegmentReader::open(dir, stream)?;
         if reader.codec_version() != CODEC_VERSION {
@@ -512,12 +482,9 @@ pub(crate) fn run_replay_epoch<E: EpochLifeguard>(
         codec_version = reader.codec_version();
 
         let mut decoder = FrameDecoder::new(config.log.frame_config());
-        let mut summarizer = master.summarizer();
+        let mut worker = EpochWorker::new(master.summarizer(), engine, LG_CORE);
         let mut batch: Vec<EventRecord> = Vec::new();
         let mut done = VecDeque::new();
-        // As in the other runners: openness over all records, since the
-        // dispatch mask hides unsubscribed kinds from the summarizer.
-        let mut open = false;
         let mut stats = ReplayStreamStats {
             stream,
             frames: 0,
@@ -534,12 +501,8 @@ pub(crate) fn run_replay_epoch<E: EpochLifeguard>(
                     frame: stats.frames,
                     source,
                 })?;
-            open = open || !batch.is_empty();
-            engine.deliver_batch(&mut summarizer, &batch, &mut mem, 1, &mut no_findings);
-            if Frame::header_epoch_end(&frame.bytes) {
-                done.push_back(summarizer.finish_epoch());
-                open = false;
-            }
+            let epoch_end = Frame::header_epoch_end(&frame.bytes);
+            done.extend(worker.consume(&mut mem, &batch, epoch_end).1);
             stats.frames += 1;
             stats.records += batch.len() as u64;
             stats.wire_bits += frame.wire_bits();
@@ -547,14 +510,10 @@ pub(crate) fn run_replay_epoch<E: EpochLifeguard>(
                 stats.degraded_frames += 1;
             }
         }
-        if open || summarizer.is_open() {
-            done.push_back(summarizer.finish_epoch());
-        }
+        done.extend(worker.finish_tail());
         queues.push(done);
         streams.push(stats);
     }
-    debug_assert!(no_findings.is_empty(), "summarizers never report");
-
     // Stitch in global epoch order: epochs went to streams round-robin.
     let mut findings = Vec::new();
     let mut epoch = 0u64;
@@ -563,7 +522,7 @@ pub(crate) fn run_replay_epoch<E: EpochLifeguard>(
         let Some(summary) = queues[w].pop_front() else {
             break;
         };
-        let mut ctx = HandlerCtx::new(&mut mem, 1, &mut findings);
+        let mut ctx = HandlerCtx::new(&mut mem, LG_CORE, &mut findings);
         master.absorb(summary, &mut ctx);
         epoch += 1;
     }
@@ -571,7 +530,7 @@ pub(crate) fn run_replay_epoch<E: EpochLifeguard>(
         queues.iter().all(VecDeque::is_empty),
         "round-robin stitch must drain every stream"
     );
-    engine.finish(master, &mut mem, 1, &mut findings);
+    engine.finish(master, &mut mem, LG_CORE, &mut findings);
     let mut report = ReplayReport::new(
         dir,
         codec_version,
@@ -660,7 +619,10 @@ mod tests {
         let start = std::time::Instant::now();
         let err =
             run_live_epoch_parallel(&program, &mut TaintCheck::new(), 1, &config).unwrap_err();
-        assert_eq!(err, RunError::ChannelStalled);
+        assert!(
+            matches!(err, LbaError::Run(RunError::ChannelStalled)),
+            "got: {err}"
+        );
         assert!(
             start.elapsed() < std::time::Duration::from_secs(30),
             "the stall must latch once, not hang"
@@ -721,13 +683,13 @@ mod tests {
             let err =
                 run_live_epoch_parallel(&program, &mut Faulty, workers, &SystemConfig::default())
                     .unwrap_err();
-            assert_eq!(
-                err,
-                RunError::WorkerPanicked {
-                    thread: "epoch worker",
-                    message: "summarizer fault".into(),
-                },
-                "workers={workers}"
+            assert!(
+                matches!(
+                    &err,
+                    LbaError::Run(RunError::WorkerPanicked { thread: "epoch worker", message })
+                        if message == "summarizer fault"
+                ),
+                "workers={workers}: {err}"
             );
         }
     }

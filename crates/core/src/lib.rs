@@ -79,8 +79,7 @@ pub use error::LbaError;
 pub use kind::LifeguardKind;
 pub use pipeline::{
     ConsumerTopology, EpochRouted, Execution, MonitorSpec, Producer, ProducerFinish, ProducerLink,
-    ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS,
-    RUN_MODES,
+    Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS, RUN_MODES,
 };
 pub use replay::{ReplayError, ReplayMode};
 pub use report::{

@@ -10,86 +10,30 @@
 //! are *real* wire bytes, so the live mode exercises and measures the
 //! paper's < 1 B/instruction wire format instead of shipping raw structs.
 //!
-//! The producer side is [`Producer::live`] driving a [`LiveLink`]: the
-//! identical capture pass the co-simulation runs, plugged into the framed
-//! sender. Integration tests assert the findings — and the shipped wire
-//! stream — match the deterministic mode exactly.
+//! `Live` is the one-consumer case of the fan-out runner
+//! ([`run_fanout`]): [`Producer::live`] over a [`SingleConsumer`]
+//! topology, one in-process channel, and the lent lifeguard draining it
+//! through [`deliver_all`] on the calling thread. It is the one mode whose
+//! producer contains syscalls (the link's flush) and whose consumer
+//! surfaces the lifeguard's degradation dial. Integration tests assert
+//! the findings — and the shipped wire stream — match the deterministic
+//! mode exactly.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread;
+use std::convert::Infallible;
 
-use lba_cache::MemSystem;
-use lba_cpu::{Machine, RunError};
 use lba_isa::Program;
-use lba_lifeguard::{DegradationRequest, DispatchEngine, Lifeguard};
-use lba_transport::FrameSender;
+use lba_lifeguard::Lifeguard;
 
 use crate::config::SystemConfig;
-use crate::fanout::{finish_senders, join_thread, live_senders};
-use crate::pipeline::{Producer, ProducerFinish, ProducerLink};
+use crate::error::LbaError;
+use crate::fanout::{deliver_all, live_senders, run_fanout, FanOut};
+use crate::pipeline::{Producer, SingleConsumer};
 use crate::report::PipelineReport;
 use crate::runner::RunMode;
 
-/// Encoding of the analysis-side dial slot the consumer publishes and the
-/// producer drains: no request pending.
-const DIAL_NONE: u64 = 0;
-/// Dial slot: the lifeguard asked to engage degraded capture.
-const DIAL_ENGAGE: u64 = 1;
-/// Dial slot: the lifeguard asked to disengage degraded capture.
-const DIAL_DISENGAGE: u64 = 2;
-
-/// The live mode's [`ProducerLink`]: shipped records go straight into the
-/// framed SPSC sender, degradation transitions seal the open frame and
-/// toggle the wire's degraded mark, and the controller steers by the real
-/// queue occupancy plus the finding count and dial requests the consumer
-/// thread publishes through atomics.
-struct LiveLink<'a> {
-    tx: FrameSender,
-    finding_count: &'a AtomicU64,
-    dial: &'a AtomicU64,
-}
-
-impl ProducerLink for LiveLink<'_> {
-    fn ship(&mut self, rec: &lba_record::EventRecord) {
-        self.tx.push(rec);
-    }
-
-    fn on_engage(&mut self) {
-        self.tx.flush();
-        self.tx.set_degraded(true);
-    }
-
-    fn on_disengage(&mut self) {
-        self.tx.flush();
-        self.tx.set_degraded(false);
-    }
-
-    fn load_sample(&self) -> lba_transport::LoadSample {
-        self.tx.load_sample()
-    }
-
-    fn finding_count(&self) -> u64 {
-        self.finding_count.load(Ordering::Relaxed)
-    }
-
-    fn contain_syscall(&mut self) {
-        // Real threads cannot stall a modeled clock; containment reduces
-        // to sealing the frame so the consumer can observe everything
-        // that precedes the syscall.
-        self.tx.flush();
-    }
-
-    fn take_degradation_request(&mut self) -> Option<DegradationRequest> {
-        match self.dial.swap(DIAL_NONE, Ordering::Relaxed) {
-            DIAL_ENGAGE => Some(DegradationRequest::Engage),
-            DIAL_DISENGAGE => Some(DegradationRequest::Disengage),
-            _ => None,
-        }
-    }
-}
-
-/// Runs `program` on one thread and the lifeguard on another, returning
-/// the lifeguard's findings together with the measured wire statistics.
+/// Runs `program` on one thread and `lifeguard` on the calling one,
+/// returning the lifeguard's findings together with the measured wire
+/// statistics.
 ///
 /// The capture-side filter and the syscall containment flush behave as in
 /// the co-simulation: filtered records never reach the channel, and each
@@ -100,98 +44,37 @@ impl ProducerLink for LiveLink<'_> {
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the machine thread, and
-/// [`RunError::WorkerPanicked`] when it panicked.
+/// Propagates any error from the machine thread, and
+/// [`RunError::WorkerPanicked`](lba_cpu::RunError::WorkerPanicked) when
+/// the producer or the lifeguard panicked.
 pub(crate) fn run_live(
     program: &Program,
     lifeguard: &mut dyn Lifeguard,
     config: &SystemConfig,
-) -> Result<PipelineReport, RunError> {
-    config.log.validate_framing()?;
-    // One channel as deep as the buffer budget allows, recorded as stream
-    // 0 on the producer thread, with the stall timeout and the fault
-    // profile's drain drag applied.
-    let (mut senders, mut receivers) = live_senders(1, config)?;
-    let (tx, mut rx) = (
-        senders.pop().expect("one sender"),
-        receivers.pop().expect("one receiver"),
-    );
-    let engine = DispatchEngine::new(config.dispatch);
-    let machine_config = config.machine;
-    // The identical capture pass the co-simulation runs (range filter +
-    // idempotency window in one predicate), so the two modes ship the
-    // same record stream byte for byte.
-    let mut stage = Producer::live(&*lifeguard, config);
-    // The finding-snapback signal: the consumer publishes its running
-    // finding count; any growth the producer's controller observes snaps
-    // capture back to full fidelity.
-    let finding_count = AtomicU64::new(0);
-    // The analysis-side degradation dial: the consumer polls the
-    // lifeguard after each delivery and publishes the latest request; the
-    // producer drains it into the controller.
-    let dial = AtomicU64::new(DIAL_NONE);
-
-    thread::scope(|scope| {
-        let finding_count = &finding_count;
-        let dial = &dial;
-        let producer = scope.spawn(move || -> Result<ProducerFinish, RunError> {
-            let mut machine = Machine::new(program, machine_config);
-            let mut mem = MemSystem::new(config.mem_single());
-            let mut link = LiveLink {
-                tx,
-                finding_count,
-                dial,
-            };
-            machine.run(&mut mem, |r| stage.observe(&r.record, &mut link))?;
-            // Snap back out of degradation, settle fold counts, ship the
-            // tail, then seal and close the channel (publishing its
-            // statistics to the receiver).
-            let finish = stage.finish(&mut link);
-            finish_senders(vec![link.tx]).map(|_| finish)
-        });
-
-        // Consume on this thread: shadow-cost accounting still needs a
-        // MemSystem, but live mode is functional — timing is not reported.
-        // Frame-granular by default (one blocking receive and one dispatch
-        // setup per frame); the per-record path is the bench baseline.
-        let mut mem = MemSystem::new(config.mem_dual());
-        let mut findings = Vec::new();
-        if config.log.batch_dispatch {
-            while let Some(batch) = rx.recv_batch() {
-                engine.deliver_batch(lifeguard, batch, &mut mem, 1, &mut findings);
-                finding_count.store(findings.len() as u64, Ordering::Relaxed);
-                if let Some(req) = engine.poll_degradation(lifeguard) {
-                    dial.store(encode_dial(req), Ordering::Relaxed);
-                }
-            }
-        } else {
-            while let Some(record) = rx.recv_ref() {
-                engine.deliver(lifeguard, record, &mut mem, 1, &mut findings);
-                finding_count.store(findings.len() as u64, Ordering::Relaxed);
-                if let Some(req) = engine.poll_degradation(lifeguard) {
-                    dial.store(encode_dial(req), Ordering::Relaxed);
-                }
-            }
-        }
-        engine.finish(lifeguard, &mut mem, 1, &mut findings);
-
-        let finish = join_thread(producer, "producer")??;
-        Ok(PipelineReport::shipped(
-            program,
-            RunMode::Live,
-            finish,
-            findings,
-            vec![rx.stats()],
-        ))
-    })
-}
-
-/// Maps a [`DegradationRequest`] onto the dial slot's wire encoding.
-fn encode_dial(req: DegradationRequest) -> u64 {
-    match req {
-        DegradationRequest::Engage => DIAL_ENGAGE,
-        DegradationRequest::Disengage => DIAL_DISENGAGE,
-    }
+) -> Result<PipelineReport, LbaError> {
+    let (senders, mut receivers) = live_senders(1, config)?;
+    let mut rx = receivers.pop().expect("one receiver");
+    let run = FanOut {
+        program,
+        config,
+        mode: RunMode::Live,
+        // The identical capture pass the co-simulation runs, so the two
+        // modes ship the same record stream byte for byte.
+        producer: Producer::live(&*lifeguard, config),
+        topology: SingleConsumer,
+        senders,
+        spawned_thread: "consumer",
+        local_thread: "consumer",
+    };
+    let (report, _): (_, Vec<()>) = run_fanout(
+        run,
+        Vec::<Infallible>::new(),
+        |never, _| match never {},
+        // The receiver moves in, so a failing lifeguard drops it and the
+        // producer stops waiting for credit.
+        move |feedback| deliver_all(&mut rx, lifeguard, config, feedback, true),
+    )?;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -268,6 +151,44 @@ mod tests {
         assert_eq!(constrained.findings, roomy.findings);
         assert_eq!(constrained.log.records, roomy.log.records);
         assert_eq!(constrained.log.wire_bits, roomy.log.wire_bits);
+    }
+
+    /// A lifeguard that panics on its first event.
+    struct Panicky;
+
+    impl Lifeguard for Panicky {
+        fn name(&self) -> &'static str {
+            "panicky"
+        }
+
+        fn subscriptions(&self) -> lba_record::EventMask {
+            lba_record::EventMask::ALL
+        }
+
+        fn on_event(&mut self, _: &lba_record::EventRecord, _: &mut lba_lifeguard::HandlerCtx<'_>) {
+            panic!("lifeguard fault");
+        }
+    }
+
+    #[test]
+    fn panicking_lent_lifeguard_is_a_run_error_not_a_crash() {
+        // Gzip's stream overfills the channel, so the run also hangs if the
+        // failed consumer's end outlives it.
+        let program = Benchmark::Gzip.build();
+        let err = crate::Run::new(&program)
+            .mode(RunMode::Live)
+            .monitor(&mut Panicky)
+            .run()
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                LbaError::Run(lba_cpu::RunError::WorkerPanicked { thread: "consumer", message })
+                    if message == "lifeguard fault"
+            ),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -9,10 +9,17 @@
 //! pushing into one [`FrameSender`](lba_transport::FrameSender) per
 //! shard. Because every shard owns a full compressor/decompressor pair,
 //! the value predictors never thread state across shards, and the N
-//! consumer threads decode their frame streams *concurrently* — closing
-//! the ROADMAP's "parallel value decompression" item as a by-product of
+//! consumers decode their frame streams *concurrently* — closing the
+//! ROADMAP's "parallel value decompression" item as a by-product of
 //! sharding: the per-stream codec stays sequential, but there are now N
 //! streams.
+//!
+//! [`run_sharded`] is the fan-out runner ([`run_fanout`]) over any kind of
+//! consumer end: the first shard drains on the calling thread and the
+//! others on one thread each, every shard through [`deliver_all`] with its
+//! own lifeguard instance, and the findings merge (deduplicated) at join.
+//! `LiveParallel` runs it over in-process channels; `Remote`
+//! (`remote.rs`) over sockets.
 //!
 //! Fidelity contract with the modeled mode: the router, the per-shard
 //! record order, and the frame boundaries (seal every
@@ -28,33 +35,26 @@
 //! ([`run_live_epoch_parallel`](crate::epoch_parallel::run_live_epoch_parallel))
 //! for taint on real threads.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread;
-
-use lba_cache::MemSystem;
-use lba_cpu::{Machine, RunError};
 use lba_isa::Program;
-use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
-use lba_transport::ChannelStats;
+use lba_lifeguard::Lifeguard;
+use lba_transport::{CreditWindow, FrameSender};
 
 use crate::config::SystemConfig;
-use crate::fanout::{finish_senders, join_thread, live_senders, FanOutLink};
-use crate::pipeline::{Producer, ProducerFinish, ShardedByLine};
+use crate::error::LbaError;
+use crate::fanout::{deliver_all, live_senders, run_fanout, BatchSource, FanOut, Feedback};
+use crate::parallel::merge_shard_findings;
+use crate::pipeline::{Producer, ShardedByLine};
 use crate::report::PipelineReport;
 use crate::runner::RunMode;
 
-/// The lifeguard-core MemSystem index used by every consumer thread (each
-/// thread owns a private dual-core memory system; live mode reports no
-/// modeled clocks, so the geometry only feeds shadow-cost accounting).
-const LG_CORE: usize = 1;
-
 /// Runs `program` on one thread with the lifeguard sharded `shards` ways
-/// by address, each shard on its own OS thread with its own framed
-/// compressed channel, dispatch engine, and lifeguard instance.
+/// by address, each shard with its own framed compressed channel,
+/// dispatch engine, and lifeguard instance, and all but the first on
+/// their own OS thread.
 ///
 /// `make_lifeguard` builds one (identical) lifeguard instance per shard;
-/// it is called on each consumer thread, so the instances never migrate.
-/// The channel depth per shard comes from
+/// it is called on each consumer's thread, so the instances never
+/// migrate. The channel depth per shard comes from
 /// [`LogConfig::live_channel_frames`](crate::LogConfig::live_channel_frames),
 /// the same budget-derived depth `run_live` uses.
 ///
@@ -74,9 +74,7 @@ const LG_CORE: usize = 1;
 ///
 /// # Errors
 ///
-/// Propagates any [`RunError`] from the machine thread, and
-/// [`RunError::WorkerPanicked`] when a consumer thread panicked (a codec
-/// or lifeguard bug, not an I/O condition).
+/// See [`run_sharded`].
 ///
 /// # Panics
 ///
@@ -86,103 +84,51 @@ pub(crate) fn run_live_parallel(
     make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
     shards: usize,
     config: &SystemConfig,
-) -> Result<PipelineReport, RunError> {
+) -> Result<PipelineReport, LbaError> {
     assert!(shards > 0, "need at least one shard");
-    config.log.validate_framing()?;
-    let (senders, receivers) = live_senders(shards, config)?;
-    let make_lifeguard = &make_lifeguard;
-    // The finding-snapback signal: consumers accumulate their finding
-    // counts here; any growth the producer's controller observes snaps
-    // capture back to full fidelity.
-    let finding_count = AtomicU64::new(0);
-    let finding_count = &finding_count;
+    let ends = live_senders(shards, config)?;
+    run_sharded(program, RunMode::LiveParallel, make_lifeguard, config, ends)
+}
 
-    thread::scope(|scope| {
-        let consumers: Vec<_> = receivers
-            .into_iter()
-            .map(|mut rx| {
-                scope.spawn(move || -> Vec<Finding> {
-                    let mut lifeguard = make_lifeguard();
-                    let engine = DispatchEngine::new(config.dispatch);
-                    let mut mem = MemSystem::new(config.mem_dual());
-                    let mut findings = Vec::new();
-                    let mut published = 0usize;
-                    let publish = |findings: &Vec<Finding>, published: &mut usize| {
-                        if findings.len() > *published {
-                            finding_count
-                                .fetch_add((findings.len() - *published) as u64, Ordering::Relaxed);
-                            *published = findings.len();
-                        }
-                    };
-                    if config.log.batch_dispatch {
-                        while let Some(batch) = rx.recv_batch() {
-                            engine.deliver_batch(
-                                lifeguard.as_mut(),
-                                batch,
-                                &mut mem,
-                                LG_CORE,
-                                &mut findings,
-                            );
-                            publish(&findings, &mut published);
-                        }
-                    } else {
-                        while let Some(record) = rx.recv_ref() {
-                            engine.deliver(
-                                lifeguard.as_mut(),
-                                record,
-                                &mut mem,
-                                LG_CORE,
-                                &mut findings,
-                            );
-                            publish(&findings, &mut published);
-                        }
-                    }
-                    engine.finish(lifeguard.as_mut(), &mut mem, LG_CORE, &mut findings);
-                    findings
-                })
-            })
-            .collect();
-
-        // Produce on this thread: run the machine, apply the shared
-        // capture pass (identical to `run_lba_parallel`'s) and fan the
-        // log out. The link — and with it every sender — drops when this
-        // closure returns, closing the shard streams so the consumers can
-        // finish whether or not the run errored.
-        let produced = (|| -> Result<(ProducerFinish, Vec<ChannelStats>), RunError> {
-            let mut machine = Machine::new(program, config.machine);
-            let mut mem = MemSystem::new(config.mem_single());
-            let seed = make_lifeguard();
-            let mut producer = Producer::sharded(seed.as_ref(), config);
-            drop(seed);
-            let mut link = FanOutLink {
-                topology: ShardedByLine::new(shards),
-                senders,
-                finding_count,
-            };
-            machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
-            // Snap back out of degradation, settle fold counts, ship the
-            // tail, then close every shard stream.
-            let finish = producer.finish(&mut link);
-            finish_senders(link.senders).map(|channels| (finish, channels))
-        })();
-
-        // Join every consumer before returning (the scope re-raises the
-        // panic of any thread left unjoined).
-        let joined: Vec<_> = consumers
-            .into_iter()
-            .map(|handle| join_thread(handle, "consumer"))
-            .collect();
-        let shard_findings = joined.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let findings = crate::parallel::merge_shard_findings(shard_findings);
-        let (finish, channels) = produced?;
-        Ok(PipelineReport::shipped(
-            program,
-            RunMode::LiveParallel,
-            finish,
-            findings,
-            channels,
-        ))
-    })
+/// The sharded pipeline over one sender and one consumer end per shard,
+/// reporting as `mode`.
+///
+/// # Errors
+///
+/// Propagates any error from the machine, a stalled or torn transport, a
+/// frame that fails to decode, and
+/// [`RunError::WorkerPanicked`](lba_cpu::RunError::WorkerPanicked) when a
+/// pipeline thread panicked (a codec or lifeguard bug, not an I/O
+/// condition).
+pub(crate) fn run_sharded<W, S>(
+    program: &Program,
+    mode: RunMode,
+    make_lifeguard: impl Fn() -> Box<dyn Lifeguard> + Sync,
+    config: &SystemConfig,
+    (senders, mut ends): (Vec<FrameSender<W>>, Vec<S>),
+) -> Result<PipelineReport, LbaError>
+where
+    W: CreditWindow + Send,
+    S: BatchSource + Send,
+{
+    let run = FanOut {
+        program,
+        config,
+        mode,
+        // The shared capture pass, identical to `run_lba_parallel`'s.
+        producer: Producer::sharded(make_lifeguard().as_ref(), config),
+        topology: ShardedByLine::new(ends.len()),
+        senders,
+        spawned_thread: "consumer",
+        local_thread: "consumer",
+    };
+    let first = ends.remove(0);
+    let consume = |mut end: S, feedback: &Feedback| {
+        deliver_all(&mut end, make_lifeguard().as_mut(), config, feedback, false)
+    };
+    let (mut report, rest) = run_fanout(run, ends, consume, |feedback| consume(first, feedback))?;
+    report.findings = merge_shard_findings(std::iter::once(report.findings).chain(rest));
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -281,6 +227,9 @@ mod tests {
         config.log.records_per_frame = 0;
         let err = run_live_parallel(&program, LifeguardKind::AddrCheck.spec().make, 2, &config)
             .unwrap_err();
-        assert_eq!(err, RunError::ZeroRecordsPerFrame);
+        assert!(
+            matches!(err, LbaError::Run(lba_cpu::RunError::ZeroRecordsPerFrame)),
+            "got: {err}"
+        );
     }
 }

@@ -13,17 +13,18 @@
 //!   records go, what a flush-and-mark transition does to its transport,
 //!   and which load/finding signals feed the controller;
 //! * [`ConsumerTopology`] — how shipped records map onto consumers:
-//!   [`SingleConsumer`], [`ShardedByLine`], [`EpochRouted`], and
-//!   [`ReplaySource`], each instantiated over both the modeled and the
-//!   live execution model by the corresponding runners;
+//!   [`SingleConsumer`], [`ShardedByLine`] and [`EpochRouted`], each
+//!   instantiated over the modeled execution model by its own runner and
+//!   over the live one by the one fan-out runner (`fanout.rs`);
 //! * [`MONITORS`] / [`RUN_MODES`] — the single registry the experiment
 //!   layer, the benchmarks and the cross-mode equivalence suite derive
 //!   their mode and lifeguard enumerations from.
 //!
-//! The runners (`cosim.rs`, `live.rs`, `parallel.rs`, `live_parallel.rs`,
-//! `epoch_parallel.rs`, `replay.rs`) are thin compositions over these
-//! pieces; the cross-mode equivalence proptests pin that the composition
-//! is bit-for-bit what the hand-rolled loops produced.
+//! The runners (`cosim.rs`, `parallel.rs`, `epoch_parallel.rs` and
+//! `replay.rs` for the modeled and offline modes, `fanout.rs` for every
+//! live one) are thin compositions over these pieces; the cross-mode
+//! equivalence proptests pin that the composition is bit-for-bit what the
+//! hand-rolled loops produced.
 
 use lba_lifeguard::{CaptureFilter, CaptureStats, DegradationRequest, DegradationStats, Lifeguard};
 use lba_record::{EventKind, EventRecord, TraceStats};
@@ -314,8 +315,7 @@ impl Producer {
 /// Where one shipped record goes under a [`ConsumerTopology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// The single consumer (or, for a replay source, the consumer bound
-    /// to the record's stream).
+    /// The single consumer.
     Single,
     /// Exactly one shard owns the record.
     Shard(usize),
@@ -334,9 +334,10 @@ pub enum Route {
 
 /// How shipped records map onto consumers — the consumer-side half of the
 /// pipeline, with one implementation per consumption shape. Each shape is
-/// instantiated over both execution models by its runners: the modeled
-/// runner simulates its consumers' clocks on one thread, the live runner
-/// gives each consumer an OS thread.
+/// instantiated over both execution models: its modeled runner simulates
+/// the consumers' clocks on one thread, and the one live fan-out runner
+/// routes through it into one real frame stream per consumer, with the
+/// producer on its own OS thread and the consumers drained concurrently.
 pub trait ConsumerTopology {
     /// Number of consumers the topology fans out to.
     fn consumers(&self) -> usize;
@@ -351,8 +352,9 @@ pub trait ConsumerTopology {
 ///
 /// Execution models: `RunMode::Lba` interleaves the consumer's modeled clock
 /// with the producer's on one thread (consumption happens at
-/// back-pressure, syscall containment and end of stream); `RunMode::Live` runs
-/// the consumer on its own OS thread against the SPSC frame channel.
+/// back-pressure, syscall containment and end of stream); `RunMode::Live`
+/// is the fan-out runner with one consumer, draining the SPSC frame
+/// channel on the calling thread while the producer runs on its own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SingleConsumer;
 
@@ -375,9 +377,10 @@ impl ConsumerTopology for SingleConsumer {
 /// Execution models: `RunMode::LbaParallel` simulates the N lifeguard cores
 /// on one thread against a shared [`lba_cache::MemSystem`] (cores `1..=N`,
 /// application on 0), draining every shard after each route so the modeled
-/// clocks interleave like hardware would; `RunMode::LiveParallel` runs one
-/// consumer OS thread per shard, each with its own channel, and merges
-/// findings (deduplicated) at join.
+/// clocks interleave like hardware would; `RunMode::LiveParallel` and
+/// `RunMode::Remote` are the fan-out runner with one consumer per shard,
+/// each draining its own in-process channel or socket, and merge findings
+/// (deduplicated) at join.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedByLine {
     shards: usize,
@@ -416,9 +419,9 @@ impl ConsumerTopology for ShardedByLine {
 /// transfer-function summaries) whose state composes across epochs.
 ///
 /// Execution models: `RunMode::EpochParallel` models each worker's clock and
-/// the merge core's stitch on one thread; `RunMode::LiveEpochParallel` runs
-/// one consumer OS thread per worker plus a merge thread that stitches
-/// summaries round-robin as workers finish epochs.
+/// the merge core's stitch on one thread; `RunMode::LiveEpochParallel` is
+/// the fan-out runner with one summarizer thread per worker, while the
+/// calling thread stitches summaries round-robin as workers finish epochs.
 #[derive(Debug, Clone)]
 pub struct EpochRouted {
     workers: usize,
@@ -465,38 +468,6 @@ impl ConsumerTopology for EpochRouted {
             worker: route.worker,
             end_epoch: route.end_epoch,
         }
-    }
-}
-
-/// Offline replay: the consumers' inputs are flight-recorder streams, one
-/// per original channel, so routing was fixed when the recording was made
-/// — every frame already sits in its stream and each consumer replays its
-/// stream independently ([`Route::Single`] per stream).
-///
-/// Execution models: `RunMode::Replay` (and `RunMode::ReplayEpoch` for epoch-mode
-/// recordings) replay the streams sequentially on the host with modeled
-/// lifeguard clocks; there is no live variant because replay has no
-/// producer to decouple from.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplaySource {
-    streams: usize,
-}
-
-impl ReplaySource {
-    /// A replay source over `streams` recorded streams.
-    #[must_use]
-    pub fn new(streams: usize) -> Self {
-        ReplaySource { streams }
-    }
-}
-
-impl ConsumerTopology for ReplaySource {
-    fn consumers(&self) -> usize {
-        self.streams
-    }
-
-    fn route(&mut self, _rec: &EventRecord) -> Route {
-        Route::Single
     }
 }
 
@@ -585,7 +556,9 @@ pub enum TopologyKind {
     Sharded,
     /// [`EpochRouted`].
     Epoch,
-    /// [`ReplaySource`].
+    /// Offline replay: the consumers' inputs are flight-recorder streams,
+    /// one per original channel, so routing was fixed when the recording
+    /// was made and each consumer replays its stream independently.
     Replay,
 }
 

@@ -2,71 +2,96 @@
 //! lifeguard worker per shard — the production topology for heavy
 //! traffic.
 //!
-//! [`run_live_parallel`](crate::live_parallel::run_live_parallel) shards
-//! the lifeguard across OS threads sharing an address space; this module
-//! keeps the identical sharded pipeline but moves each shard's frame
-//! stream onto a Unix-domain socket speaking the `lbas/1` wire protocol
+//! `Remote` is the sharded live pipeline
+//! ([`run_sharded`](crate::live_parallel::run_sharded)) over sockets
+//! instead of in-process channels: each shard's frame stream crosses a
+//! Unix-domain socket speaking the `lbas/1` wire protocol
 //! ([`lba_transport::socket`]) — the shape where capture and lifeguards
 //! run in different *processes* (and, with the TCP `WireStream`, on
-//! different hosts). Each worker owns a full decoder, dispatch engine and
-//! lifeguard instance and drives its socket exactly as replay drives a
-//! recorded stream: the wire is the flight-recorder format, minus the
-//! disk.
+//! different hosts). This module supplies only the socket ends: a
+//! [`SocketSink`](lba_transport::SocketSink) credit window under each
+//! shard's frame sender, and [`SocketBatches`], which decodes each frame
+//! off the wire exactly as replay decodes a recorded stream — the wire is
+//! the flight-recorder format, minus the disk.
 //!
 //! Back-pressure crosses the wire as an explicit credit window sized from
 //! [`LogConfig::live_channel_frames`](crate::LogConfig::live_channel_frames)
 //! — the same budget-derived depth the in-process channels use — so
 //! `buffer_bytes` semantics,
 //! [`LoadSample`](lba_transport::LoadSample)-driven adaptive degradation,
-//! and the stall-timeout discipline all survive the socket hop: the
-//! socket is just another credit window under the shared frame sender.
+//! and the stall-timeout discipline all survive the socket hop.
 //!
-//! Fidelity contract: the router ([`ShardedByLine`]), per-shard record
-//! order, frame boundaries, and capture pass are identical to
-//! `run_live_parallel` — both drive [`Producer::sharded`] and the same
-//! [`FrameEncoder`](lba_compress::FrameEncoder) per shard — so each
-//! shard's wire stream is byte-identical to the in-process live mode's
-//! and the merged findings are equal. `tests/remote.rs` pins both across
-//! worker counts.
+//! Fidelity contract: router, per-shard record order, frame boundaries,
+//! capture pass and consumer loop are `LiveParallel`'s, so each shard's
+//! wire stream is byte-identical to the in-process live mode's and the
+//! merged findings are equal. `tests/remote.rs` pins both across worker
+//! counts.
 //!
 //! Like the other sharded modes, TaintCheck is unsupported here (use
 //! [`run_live_epoch_parallel`](crate::epoch_parallel::run_live_epoch_parallel));
 //! the registry's capability flags enforce this through the unified
 //! [`Run`](crate::Run) entry point.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread;
-
-use lba_cache::MemSystem;
-use lba_compress::FrameDecoder;
-use lba_cpu::Machine;
+use lba_compress::{Frame, FrameDecoder};
 use lba_isa::Program;
-use lba_lifeguard::{DispatchEngine, Finding, Lifeguard};
+use lba_lifeguard::Lifeguard;
 use lba_record::EventRecord;
 use lba_transport::socket::{socket_pair, SocketSource};
-use lba_transport::{ChannelStats, FrameSource};
+use lba_transport::FrameSource;
 
 use crate::config::SystemConfig;
 use crate::error::LbaError;
-use crate::fanout::{drain_drag, finish_senders, join_thread, open_senders, FanOutLink};
-use crate::pipeline::{Producer, ProducerFinish, ShardedByLine};
+use crate::fanout::{drain_drag, open_senders, BatchSource};
+use crate::live_parallel::run_sharded;
 use crate::replay::ReplayError;
 use crate::report::PipelineReport;
 use crate::runner::RunMode;
 
-/// The lifeguard-core MemSystem index used by every worker (shadow-cost
-/// accounting only; the socket modes report no modeled clocks).
-const LG_CORE: usize = 1;
+/// A worker's end of a socket: drains the wire to its End record and
+/// decodes each frame, burning the fault profile's drain drag first.
+pub(crate) struct SocketBatches {
+    source: SocketSource,
+    decoder: FrameDecoder,
+    batch: Vec<EventRecord>,
+    drag: u32,
+}
+
+impl BatchSource for SocketBatches {
+    fn next_batch(&mut self) -> Result<Option<(&[EventRecord], bool)>, LbaError> {
+        // Fault injection: a worker that drains slowly, so the credit
+        // window fills and the producer's LoadSample climbs.
+        for _ in 0..self.drag {
+            std::hint::spin_loop();
+        }
+        let frame = self.source.stats().frames;
+        let Some(bytes) = self
+            .source
+            .next_frame_bytes()
+            .map_err(LbaError::from_sink)?
+        else {
+            return Ok(None);
+        };
+        self.batch.clear();
+        self.decoder
+            .decode_frame(&bytes, &mut self.batch)
+            .map_err(|source| ReplayError::Decode {
+                stream: self.source.stream_id(),
+                frame,
+                source,
+            })?;
+        Ok(Some((&self.batch, Frame::header_epoch_end(&bytes))))
+    }
+}
 
 /// Runs `program` on one thread with the lifeguard sharded `workers` ways
 /// by address, each shard's sealed frames crossing a Unix-domain socket
-/// (credit-windowed, `lbas/1`-framed) to its own worker thread with its
-/// own decoder, dispatch engine, and lifeguard instance.
+/// (credit-windowed, `lbas/1`-framed) to its own worker with its own
+/// decoder, dispatch engine, and lifeguard instance.
 ///
 /// The workers here are threads for test determinism, but they speak the
 /// real socket protocol end to end — handing a listener-accepted
 /// [`UnixStream`](std::os::unix::net::UnixStream) (or `TcpStream`) from
-/// another process to the same worker loop is deployment, not new code.
+/// another process to the same consumer loop is deployment, not new code.
 ///
 /// Configuration mirrors [`run_live_parallel`](crate::live_parallel::run_live_parallel):
 /// `filter` and `syscall_stall` are ignored, `idempotency_window` and the
@@ -79,7 +104,7 @@ const LG_CORE: usize = 1;
 ///
 /// [`LbaError::Run`] for machine/config failures, a stalled credit
 /// window ([`RunError::ChannelStalled`](lba_cpu::RunError::ChannelStalled))
-/// and a panicked worker thread
+/// and a panicked pipeline thread
 /// ([`RunError::WorkerPanicked`](lba_cpu::RunError::WorkerPanicked));
 /// [`LbaError::Socket`] when a wire tears (a worker died mid-run);
 /// [`LbaError::Replay`] when a frame that crossed the wire intact fails to
@@ -95,130 +120,19 @@ pub(crate) fn run_remote(
     config: &SystemConfig,
 ) -> Result<PipelineReport, LbaError> {
     assert!(workers > 0, "need at least one remote worker");
-    config.log.validate_framing()?;
     let window = u32::try_from(config.log.live_channel_frames()).expect("window fits u32");
-    // One socket per shard; each shard's stream is recorded exactly as
-    // the live mode records it.
-    let (senders, sources) = open_senders(workers, config, |stream| {
-        socket_pair(stream, window).map_err(LbaError::from)
-    })?;
     let drag = drain_drag(config);
-    let make_lifeguard = &make_lifeguard;
-    // The finding-snapback signal, published by workers exactly as the
-    // in-process consumers publish theirs.
-    let finding_count = AtomicU64::new(0);
-    let finding_count = &finding_count;
-
-    thread::scope(|scope| {
-        let consumers: Vec<_> = sources
-            .into_iter()
-            .map(|source| {
-                scope
-                    .spawn(move || worker_loop(source, drag, make_lifeguard, config, finding_count))
-            })
-            .collect();
-
-        // Produce on this thread. The link — and with it every sender —
-        // drops when this closure returns, closing the sockets so the
-        // workers see EOF and finish whether or not the run errored.
-        let produced = (|| -> Result<(ProducerFinish, Vec<ChannelStats>), LbaError> {
-            let mut machine = Machine::new(program, config.machine);
-            let mut mem = MemSystem::new(config.mem_single());
-            let seed = make_lifeguard();
-            let mut producer = Producer::sharded(seed.as_ref(), config);
-            drop(seed);
-            let mut link = FanOutLink {
-                topology: ShardedByLine::new(workers),
-                senders,
-                finding_count,
-            };
-            machine.run(&mut mem, |r| producer.observe(&r.record, &mut link))?;
-            // Snap back out of degradation, settle fold counts, ship the
-            // tail, then close each stream with its End record.
-            let finish = producer.finish(&mut link);
-            finish_senders(link.senders).map(|channels| (finish, channels))
-        })();
-
-        // Join every worker before returning (the scope re-raises the
-        // panic of any thread left unjoined). A panic is a bug no producer
-        // error explains, so it wins; a producer-side error explains any
-        // worker-side tear, so it wins over those.
-        let joined: Vec<_> = consumers
-            .into_iter()
-            .map(|handle| join_thread(handle, "worker"))
-            .collect();
-        let mut shard_findings = Vec::with_capacity(workers);
-        let mut worker_err: Option<LbaError> = None;
-        for outcome in joined.into_iter().collect::<Result<Vec<_>, _>>()? {
-            match outcome {
-                Ok(findings) => shard_findings.push(findings),
-                Err(e) => {
-                    worker_err.get_or_insert(e);
-                }
-            }
-        }
-        let (finish, channels) = produced?;
-        if let Some(e) = worker_err {
-            return Err(e);
-        }
-        let findings = crate::parallel::merge_shard_findings(shard_findings);
-        Ok(PipelineReport::shipped(
-            program,
-            RunMode::Remote,
-            finish,
-            findings,
-            channels,
-        ))
-    })
-}
-
-/// One worker: drain the socket to its End record, decode each frame,
-/// and deliver the records — structurally the replay consumer over a
-/// live wire.
-fn worker_loop(
-    mut source: SocketSource,
-    drag: u32,
-    make_lifeguard: &(impl Fn() -> Box<dyn Lifeguard> + Sync),
-    config: &SystemConfig,
-    finding_count: &AtomicU64,
-) -> Result<Vec<Finding>, LbaError> {
-    let stream = source.stream_id();
-    let mut decoder = FrameDecoder::new(config.log.frame_config());
-    let mut lifeguard = make_lifeguard();
-    let engine = DispatchEngine::new(config.dispatch);
-    let mut mem = MemSystem::new(config.mem_dual());
-    let mut findings = Vec::new();
-    let mut batch: Vec<EventRecord> = Vec::new();
-    let mut frames = 0u64;
-    let mut published = 0usize;
-    loop {
-        // Fault injection: a worker that drains slowly, so the credit
-        // window fills and the producer's LoadSample climbs.
-        for _ in 0..drag {
-            std::hint::spin_loop();
-        }
-        let bytes = match source.next_frame_bytes() {
-            Ok(Some(bytes)) => bytes,
-            Ok(None) => break,
-            Err(e) => return Err(LbaError::from_sink(e)),
+    let ends = open_senders(workers, config, |stream| {
+        let (sink, source) = socket_pair(stream, window)?;
+        let end = SocketBatches {
+            source,
+            decoder: FrameDecoder::new(config.log.frame_config()),
+            batch: Vec::new(),
+            drag,
         };
-        batch.clear();
-        decoder
-            .decode_frame(&bytes, &mut batch)
-            .map_err(|source| ReplayError::Decode {
-                stream,
-                frame: frames,
-                source,
-            })?;
-        frames += 1;
-        engine.deliver_batch(lifeguard.as_mut(), &batch, &mut mem, LG_CORE, &mut findings);
-        if findings.len() > published {
-            finding_count.fetch_add((findings.len() - published) as u64, Ordering::Relaxed);
-            published = findings.len();
-        }
-    }
-    engine.finish(lifeguard.as_mut(), &mut mem, LG_CORE, &mut findings);
-    Ok(findings)
+        Ok((sink, end))
+    })?;
+    run_sharded(program, RunMode::Remote, make_lifeguard, config, ends)
 }
 
 #[cfg(test)]

@@ -9,9 +9,8 @@
 //! lifeguard per stream: yesterday's traffic, today's (possibly
 //! *different*) analysis — the paper's retroactive-monitoring story, and
 //! the shape Jahier & Ducassé's one-trace-many-analyses monitor takes.
-//! In pipeline terms this is the
-//! [`ReplaySource`](crate::pipeline::ReplaySource) topology: the recorded
-//! streams stand in for the producer, one consumer per stream.
+//! In pipeline terms the recorded streams stand in for the producer, one
+//! consumer per stream ([`TopologyKind::Replay`](crate::TopologyKind)).
 //!
 //! Fidelity contract: the recorded frames are the sealed wire images, so
 //! the replay's per-stream wire-bit totals equal the recording run's
@@ -34,14 +33,10 @@ use lba_compress::{Frame, FrameDecodeError, FrameDecoder, CODEC_VERSION};
 use lba_lifeguard::{DispatchEngine, Lifeguard};
 use lba_record::{stream_ids, EventRecord, SegmentReader, StreamError};
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, LG_CORE};
 use crate::parallel::merge_shard_findings;
 use crate::report::{ReplayReport, ReplayStreamStats, SalvagedTail};
 use crate::runner::RunMode;
-
-/// The lifeguard-core MemSystem index used for shadow-cost accounting
-/// (replay reports no modeled clocks, like the live modes).
-const LG_CORE: usize = 1;
 
 /// Everything that can go wrong replaying a recording.
 #[derive(Debug)]

@@ -63,8 +63,9 @@ pub enum RunMode {
     /// 7.1M/s: summarizing costs about 3.7× sequential dispatch per
     /// record.
     EpochParallel,
-    /// Epoch-parallel taint tracking on real threads: one producer,
-    /// `workers` summarizer threads, one merge thread.
+    /// Epoch-parallel taint tracking on real threads: one producer
+    /// thread, `workers` summarizer threads, and the merge on the calling
+    /// thread.
     LiveEpochParallel,
     /// Offline replay of a flight-recorder stream set through any
     /// lifeguard, findings and wire bits byte-identical to the recording

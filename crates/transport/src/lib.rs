@@ -59,8 +59,8 @@ pub use channel::{
 };
 pub use fault::{FaultInjector, FaultProfile, FaultSink, RetrySink};
 pub use model::{
-    modeled_channel, modeled_channel_set, BufferFullError, LogBufferModel, ModeledFrameChannel,
-    TimedFrame, TransportStats,
+    modeled_channel, BufferFullError, LogBufferModel, ModeledFrameChannel, TimedFrame,
+    TransportStats,
 };
 pub use sender::{CreditWindow, FrameSender};
 pub use sink::{

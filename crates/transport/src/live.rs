@@ -41,7 +41,7 @@ use std::thread;
 
 use crossbeam::queue::ArrayQueue;
 
-use lba_compress::{Frame, FrameConfig, FrameDecoder};
+use lba_compress::{Frame, FrameConfig, FrameDecodeError, FrameDecoder};
 use lba_record::EventRecord;
 
 use crate::channel::{ChannelStats, LoadSample};
@@ -133,6 +133,10 @@ impl CreditWindow for FrameQueue {
 
 /// Consumer half of the framed live channel: owns the decompressor.
 pub struct FrameReceiver {
+    /// The stream this receiver drains (the consumer index in a fan-out).
+    stream: u32,
+    /// Frames decoded so far: the index of the next frame.
+    frames: u64,
     decoder: FrameDecoder,
     /// Decoded records of the current frame, served from `cursor`; the
     /// buffer is reused across frames to avoid a per-frame allocation.
@@ -180,7 +184,7 @@ impl FrameReceiver {
     pub fn recv_ref(&mut self) -> Option<&EventRecord> {
         while self.cursor >= self.pending.len() {
             let bytes = self.recv_frame()?;
-            self.ingest(bytes);
+            self.ingest_or_panic(bytes);
         }
         self.cursor += 1;
         self.pending.get(self.cursor - 1)
@@ -198,23 +202,32 @@ impl FrameReceiver {
     ///
     /// Panics if a frame fails to decode (see [`recv`](Self::recv)).
     pub fn recv_batch(&mut self) -> Option<&[EventRecord]> {
-        self.recv_batch_epoch().map(|(records, _)| records)
+        self.recv_batch_epoch()
+            .unwrap_or_else(|e| panic!("live frame failed to decode: {e}"))
+            .map(|(records, _)| records)
     }
 
     /// Like [`recv_batch`](Self::recv_batch), but also reports whether the
     /// served frame carried the epoch-end mark — the consumer half of the
     /// epoch-parallel transport (see [`EpochRouter`](crate::EpochRouter)
-    /// and [`FrameSender::push_epoch`]). Epoch workers drive this method
-    /// exclusively, so every call serves exactly one frame and the flag
-    /// describes that frame.
-    pub fn recv_batch_epoch(&mut self) -> Option<(&[EventRecord], bool)> {
+    /// and [`FrameSender::push_epoch`]) — and returns a frame that fails
+    /// to decode as an error instead of panicking. Driven exclusively,
+    /// every call serves exactly one frame and the flag describes it.
+    ///
+    /// # Errors
+    ///
+    /// The decoder's error for a frame that fails to decode; its index is
+    /// [`frames`](Self::frames).
+    pub fn recv_batch_epoch(&mut self) -> Result<Option<(&[EventRecord], bool)>, FrameDecodeError> {
         if self.cursor >= self.pending.len() {
-            let bytes = self.recv_frame()?;
-            self.ingest(bytes);
+            let Some(bytes) = self.recv_frame() else {
+                return Ok(None);
+            };
+            self.ingest(bytes)?;
         }
         let start = self.cursor;
         self.cursor = self.pending.len();
-        Some((&self.pending[start..], self.frame_epoch_end))
+        Ok(Some((&self.pending[start..], self.frame_epoch_end)))
     }
 
     /// Non-blocking receive: `None` when no complete frame has arrived.
@@ -222,9 +235,21 @@ impl FrameReceiver {
         while self.cursor >= self.pending.len() {
             self.apply_drag();
             let bytes = self.pop_frame()?;
-            self.ingest(bytes);
+            self.ingest_or_panic(bytes);
         }
         self.recv()
+    }
+
+    /// The stream this receiver drains, as given to [`frame_queue`].
+    #[must_use]
+    pub fn stream_id(&self) -> u32 {
+        self.stream
+    }
+
+    /// Frames decoded so far — the index of the next frame.
+    #[must_use]
+    pub fn frames(&self) -> u64 {
+        self.frames
     }
 
     /// The producer's statistics, published when the sender finishes or
@@ -261,14 +286,25 @@ impl FrameReceiver {
 
     /// Decodes a received frame buffer (every earlier record has been
     /// served) and returns the buffer to the pool.
-    fn ingest(&mut self, bytes: Vec<u8>) {
+    fn ingest(&mut self, bytes: Vec<u8>) -> Result<(), FrameDecodeError> {
         self.pending.clear();
         self.cursor = 0;
         self.frame_epoch_end = Frame::header_epoch_end(&bytes);
-        self.decoder
-            .decode_frame(&bytes, &mut self.pending)
-            .unwrap_or_else(|e| panic!("live frame failed to decode: {e}"));
+        let decoded = self.decoder.decode_frame(&bytes, &mut self.pending);
         let _ = self.shared.pool.push(bytes); // return for reuse
+        if let Err(e) = decoded {
+            self.pending.clear(); // serve nothing of a corrupt frame
+            return Err(e);
+        }
+        self.frames += 1;
+        Ok(())
+    }
+
+    /// [`ingest`](Self::ingest) for the record-level receives, where the
+    /// producer is in-process and corruption is a codec bug.
+    fn ingest_or_panic(&mut self, bytes: Vec<u8>) {
+        self.ingest(bytes)
+            .unwrap_or_else(|e| panic!("live frame failed to decode: {e}"));
     }
 }
 
@@ -290,18 +326,23 @@ impl Drop for FrameReceiver {
 /// Panics if `capacity_frames` is zero.
 #[must_use]
 pub fn frame_channel(capacity_frames: usize, config: FrameConfig) -> (FrameSender, FrameReceiver) {
-    let (queue, receiver) = frame_queue(capacity_frames, config);
+    let (queue, receiver) = frame_queue(0, capacity_frames, config);
     (FrameSender::new(queue, config), receiver)
 }
 
 /// The two ends of [`frame_channel`] before a sender wraps the queue: the
-/// [`FrameQueue`] credit window and the [`FrameReceiver`] that drains it.
+/// [`FrameQueue`] credit window and the [`FrameReceiver`] that drains it
+/// as stream `stream`.
 ///
 /// # Panics
 ///
 /// Panics if `capacity_frames` is zero.
 #[must_use]
-pub fn frame_queue(capacity_frames: usize, config: FrameConfig) -> (FrameQueue, FrameReceiver) {
+pub fn frame_queue(
+    stream: u32,
+    capacity_frames: usize,
+    config: FrameConfig,
+) -> (FrameQueue, FrameReceiver) {
     assert!(
         capacity_frames > 0,
         "live channel capacity must be non-zero"
@@ -319,6 +360,8 @@ pub fn frame_queue(capacity_frames: usize, config: FrameConfig) -> (FrameQueue, 
         shared: Arc::clone(&shared),
     };
     let receiver = FrameReceiver {
+        stream,
+        frames: 0,
         decoder: FrameDecoder::new(config),
         pending: Vec::new(),
         cursor: 0,
@@ -327,31 +370,6 @@ pub fn frame_queue(capacity_frames: usize, config: FrameConfig) -> (FrameQueue, 
         shared,
     };
     (queue, receiver)
-}
-
-/// Creates `shards` independent framed SPSC channels — the live-parallel
-/// fan-out. Each pair is a [`frame_channel`] of its own: its own compressor
-/// and decompressor (so predictor state never crosses shards and the shard
-/// streams decode concurrently on different cores), its own frame queue of
-/// `capacity_frames`, and its own [`ChannelStats`].
-///
-/// Routing records to shards is the caller's job; see
-/// [`shard_of`](crate::shard_of) for the address-interleaved policy both
-/// sharded run modes use.
-///
-/// # Panics
-///
-/// Panics if `shards` or `capacity_frames` is zero.
-#[must_use]
-pub fn shard_frame_channels(
-    shards: usize,
-    capacity_frames: usize,
-    config: FrameConfig,
-) -> (Vec<FrameSender>, Vec<FrameReceiver>) {
-    assert!(shards > 0, "need at least one shard");
-    (0..shards)
-        .map(|_| frame_channel(capacity_frames, config))
-        .unzip()
 }
 
 #[cfg(test)]
@@ -515,7 +533,7 @@ mod tests {
         });
         let mut epochs = Vec::new();
         let mut current = 0u64;
-        while let Some((records, epoch_end)) = rx.recv_batch_epoch() {
+        while let Some((records, epoch_end)) = rx.recv_batch_epoch().unwrap() {
             current += records.len() as u64;
             if epoch_end {
                 epochs.push(current);
@@ -536,8 +554,7 @@ mod tests {
             records_per_frame: 8,
             compress: true,
         };
-        let (txs, rxs) = shard_frame_channels(3, 4, config);
-        assert_eq!(txs.len(), 3);
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| frame_channel(4, config)).unzip();
         let writers: Vec<_> = txs
             .into_iter()
             .enumerate()

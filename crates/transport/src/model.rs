@@ -625,26 +625,6 @@ pub fn modeled_channel(
     }
 }
 
-/// Builds the per-consumer channel set for a fanned-out modeled topology
-/// (one independent framed stream per shard or epoch worker), each with
-/// the same byte budget and codec settings — the modeled counterpart of
-/// [`live::shard_frame_channels`](crate::live::shard_frame_channels).
-///
-/// # Panics
-///
-/// As [`modeled_channel`], per channel.
-#[must_use]
-pub fn modeled_channel_set(
-    consumers: usize,
-    capacity_bytes: u64,
-    config: FrameConfig,
-    batch_dispatch: bool,
-) -> Vec<ModeledFrameChannel> {
-    (0..consumers)
-        .map(|_| modeled_channel(capacity_bytes, config, batch_dispatch, false))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

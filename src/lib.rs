@@ -95,12 +95,12 @@
 //! | `lba-cache`      | set-associative caches and the two-core memory system |
 //! | `lba-record`     | the typed event-record vocabulary the log carries (incl. `Repeat` fold summaries) + the segmented `lbas/1` flight-recorder stream format (rotation, retention, End records) |
 //! | `lba-compress`   | value-prediction log compression + chunked frame codec (< 1 byte/instr on the wire), `CODEC_VERSION` stamped into recordings |
-//! | `lba-transport`  | `LogChannel` trait: framed buffer timing model with frame-granular `pop_frame`; one `FrameSender` (encoder, recording tee, statistics, stall timeout) over a `CreditWindow` for every real transport — the live cross-thread `FrameQueue` and the socket sink; `shard_of` routing and per-shard channel fan-out, `EpochRouter` time-slicing with epoch-end marks in the frame header; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the `socket` module speaking `lbas/1` over Unix-domain sockets (TCP-ready via `WireStream`) with an explicit credit window so back-pressure survives the wire; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the seeded `FaultInjector`/`FaultSink` fault-injection wrappers |
+//! | `lba-transport`  | `LogChannel` trait: framed buffer timing model with frame-granular `pop_frame`; one `FrameSender` (encoder, recording tee, statistics, stall timeout) over a `CreditWindow` for every real transport — the live cross-thread `FrameQueue` and the socket sink; `shard_of` routing, `EpochRouter` time-slicing with epoch-end marks in the frame header; `FrameSink`/`FrameSource` seam with tee mirroring into recordings; the `socket` module speaking `lbas/1` over Unix-domain sockets (TCP-ready via `WireStream`) with an explicit credit window so back-pressure survives the wire; the producer-visible `LoadSample` occupancy signal (the feedback arrow above) and the seeded `FaultInjector`/`FaultSink` fault-injection wrappers |
 //! | `lba-lifeguard`  | dispatch engine (batch + per-record), capture filters (`AddrRangeFilter` + per-contract idempotency window in one `CaptureFilter` pass), findings, flat paged shadow memory, the `EpochSummary`/`EpochSummarizer`/`EpochLifeguard` trait triple behind the epoch-parallel modes, and the `DegradationPolicy`/`RegionClassifier` graceful-degradation contracts |
 //! | `lba-lifeguards` | the paper's four lifeguards + `TaintCheck`'s symbolic epoch summaries (`taint_summary`); each declares its degradation tolerance next to its idempotency story |
 //! | `lba-dbi`        | Valgrind-style inline instrumentation baseline        |
 //! | `lba-workloads`  | deterministic benchmark programs                      |
-//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` over a `pipeline::ConsumerTopology`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder, the one public way to run any `RunMode` behind one validated entry point (each mode's runner is crate-private), the `LbaError` hierarchy folding every layer's failures, experiments, the three report shapes (the `PipelineReport` core the live modes return as is, `RunReport` adding modeled clocks, `ReplayReport` adding the replay's stream ledger), and the adaptive `CaptureController` closing the back-pressure feedback loop |
+//! | `lba-core`       | ties it together: the staged capture pipeline (`pipeline::Producer` over a `pipeline::ConsumerTopology`), the run-mode/monitor registry (`pipeline::RUN_MODES` / `pipeline::MONITORS`), the unified `Run` builder, the one public way to run any `RunMode` behind one validated entry point (each mode's runner is crate-private), one fan-out runner for all four live modes (the producer on its own thread, every consumer end drained as whole decoded frames, one join rule), the `LbaError` hierarchy folding every layer's failures, experiments, the three report shapes (the `PipelineReport` core the live modes return as is, `RunReport` adding modeled clocks, `ReplayReport` adding the replay's stream ledger), and the adaptive `CaptureController` closing the back-pressure feedback loop |
 //! | `lba-bench`      | table rendering, Criterion benches, `figures` binary  |
 //!
 //! ## Execution models
@@ -169,10 +169,13 @@
 //! adaptive [`CaptureController`] verdicts → recording tee → epoch
 //! marking → channel push, with degradation ledgering and syscall-flush
 //! containment written exactly once in `lba-core/src/pipeline.rs`)
-//! composed with one of four [`ConsumerTopology`]
-//! shapes — single consumer, sharded-by-cache-line, epoch-routed
-//! fan-out/stitch, or replay source — instantiated over either the
-//! modeled or the live transport. The [`MONITORS`]
+//! composed with one of three [`ConsumerTopology`]
+//! shapes — single consumer, sharded-by-cache-line, or epoch-routed
+//! fan-out/stitch — over either the modeled transport or a live one; the
+//! replay modes stand the recorded streams in for the producer. The four
+//! live modes share one fan-out runner: `Live` is its one-consumer case,
+//! `LiveParallel` and `Remote` its sharded case over in-process channels
+//! and sockets, and `LiveEpochParallel` its epoch case. The [`MONITORS`]
 //! and [`RUN_MODES`] registries enumerate the
 //! lifeguards and modes once; the benchmark matrix, the experiment
 //! layer and the cross-mode equivalence suite all derive from them.
@@ -263,8 +266,7 @@ pub use lba_core::{record_then_run, LbaError, MonitorChoice, Run, RunMode, RunOu
 // and equivalence suites derive their enumerations from.
 pub use lba_core::{
     ConsumerTopology, EpochRouted, Execution, MonitorSpec, Producer, ProducerFinish, ProducerLink,
-    ReplaySource, Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS,
-    RUN_MODES,
+    Route, RunModeSpec, ShardedByLine, SingleConsumer, TopologyKind, MONITORS, RUN_MODES,
 };
 // Adaptive capture under back-pressure: the controller and its knobs, the
 // per-lifeguard degradation contracts, the transport load signal, the

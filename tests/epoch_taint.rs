@@ -111,15 +111,34 @@ fn single_record_epochs_are_the_other_degenerate_end() {
 #[test]
 fn modeled_and_live_epoch_modes_agree_with_each_other() {
     // The two execution models share the router and summarizer; their
-    // findings and aggregate record totals must agree record-for-record.
-    let program = Benchmark::Gzip.build();
-    let mut config = SystemConfig::default();
-    config.log.epoch_records = 128;
-    let modeled = run(&program, RunMode::EpochParallel, 3, &config);
-    let live = run(&program, RunMode::LiveEpochParallel, 3, &config);
-    assert_eq!(modeled.findings, live.findings);
-    assert_eq!(modeled.epochs, live.epochs);
-    assert_eq!(modeled.log.records, live.log.records);
+    // findings and aggregate record totals must agree record-for-record,
+    // and each worker's wire stream must be the same frames bit for bit.
+    // Cases are (program, epoch_records, workers).
+    let cases = [
+        (Benchmark::Gzip.build(), 128, 3),
+        (bugs::exploit(), 16, 2),
+        (Benchmark::Mcf.build(), 7, 2),
+        (Benchmark::Gzip.build(), 1024, 1),
+    ];
+    for (program, epoch_records, workers) in cases {
+        let mut config = SystemConfig::default();
+        config.log.epoch_records = epoch_records;
+        let modeled = run(&program, RunMode::EpochParallel, workers, &config);
+        let live = run(&program, RunMode::LiveEpochParallel, workers, &config);
+        let at = format!("{} epoch {epoch_records} x{workers}", program.name());
+        assert_eq!(modeled.findings, live.findings, "{at}");
+        assert_eq!(modeled.epochs, live.epochs, "{at}");
+        assert_eq!(modeled.log.records, live.log.records, "{at}");
+        assert_eq!(modeled.channels.len(), workers, "{at}");
+        assert_eq!(live.channels.len(), workers, "{at}");
+        for (worker, (m, l)) in modeled.channels.iter().zip(&live.channels).enumerate() {
+            assert_eq!(
+                (m.records, m.frames, m.wire_bits, m.payload_bits),
+                (l.records, l.frames, l.wire_bits, l.payload_bits),
+                "{at}: worker {worker} wire stream"
+            );
+        }
+    }
 }
 
 #[test]
